@@ -21,14 +21,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .randomization import ScheduleDescriptor, alpha_at
+from .randomization import ScheduleDescriptor, alpha_at, gaussian_step, uniform_centered_step
 
-EPSILON_KINDS = ("gaussian", "uniform_centered")
+# epsilon_kind -> random-step source (signature: rng, n -> vector)
+_EPSILON_STEPS = {"gaussian": gaussian_step, "uniform_centered": uniform_centered_step}
+EPSILON_KINDS = tuple(_EPSILON_STEPS)
 UPDATE_SCHEMES = ("asynchronous", "synchronous")
 
 
 class EvaluationError(RuntimeError):
-    """The objective produced NaN; the run cannot continue meaningfully."""
+    """The objective produced a non-finite value (NaN or +-inf); the run cannot continue meaningfully."""
 
 
 @dataclass
@@ -113,6 +115,8 @@ class Objective:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != (self.dim,) or upper.shape != (self.dim,):
             raise ValueError(f"bounds must have shape ({self.dim},)")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError(f"bounds must be finite, got lower={lower.tolist()} upper={upper.tolist()}")
         if not np.all(lower < upper):
             raise ValueError("invalid bounds: lower must be strictly below upper in every dimension")
         object.__setattr__(self, "lower", lower)
@@ -194,12 +198,16 @@ def fitness_to_intensity(fitness: float) -> float:
 def _draw_eps_rows(rng, rows, dim, kind, eps_fn):
     if rows == 0:
         return []
-    if eps_fn is not None:
-        flat = np.asarray(eps_fn(rng, rows * dim), dtype=float)
-        return flat.reshape(rows, dim).tolist()
-    if kind == "gaussian":
-        return rng.standard_normal((rows, dim)).tolist()
-    return (rng.random((rows, dim)) - 0.5).tolist()
+    draw = _EPSILON_STEPS[kind] if eps_fn is None else eps_fn
+    return np.asarray(draw(rng, rows * dim), dtype=float).reshape(rows, dim).tolist()
+
+
+def checked_eval(objective: Objective, position: np.ndarray) -> float:
+    """objective.eval at position as a float; NaN or +-inf raises EvaluationError."""
+    value = float(objective.eval(position))
+    if not math.isfinite(value):
+        raise EvaluationError(f"objective returned {value} at position {position.tolist()}")
+    return value
 
 
 def move_firefly(
@@ -247,9 +255,7 @@ def evaluate(state: SwarmState, objective: Objective, params: FaParams) -> Swarm
     remaining = params.max_fes - state.fes_used
     n = min(len(state.fireflies), remaining)
     for fly in state.fireflies[:n]:
-        value = float(objective.eval(fly.position))
-        if math.isnan(value):
-            raise EvaluationError(f"objective returned NaN at position {fly.position.tolist()}")
+        value = checked_eval(objective, fly.position)
         fly.fitness = value
         fly.intensity = fitness_to_intensity(value)
         if state.best is None or value < state.best.fitness:
@@ -316,6 +322,9 @@ def pairwise_sweep(
     eps = _draw_eps_rows(state.rng, sum(counts) + walkers, dim, params.epsilon_kind, eps_fn)
 
     pos = [f.position.tolist() for f in flies]
+    synchronous = params.update_scheme == "synchronous"
+    snap = [row[:] for row in pos] if synchronous else None
+    elitism = params.elitism
     gamma = params.gamma
     beta0 = params.beta0
     exp = math.exp
@@ -323,60 +332,23 @@ def pairwise_sweep(
     diff = [0.0] * dim
     k = 0
 
-    if params.update_scheme == "asynchronous":
-        for i in range(pop):
-            ci = counts[i]
-            pi = pos[i]
-            if ci == 0:
-                if params.elitism:
-                    continue
-                ek = eps[k]
-                k += 1
-                for d in dims:
-                    v = pi[d] + aw[d] * ek[d]
-                    if v < lo[d]:
-                        v = lo[d]
-                    elif v > hi[d]:
-                        v = hi[d]
-                    pi[d] = v
+    for i in range(pop):
+        ci = counts[i]
+        pi = pos[i]
+        if ci == 0:
+            if elitism:
                 continue
-            for j in range(ci):
-                pj = pos[j]
-                r2 = 0.0
-                for d in dims:
-                    dd = pj[d] - pi[d]
-                    diff[d] = dd
-                    nd = dd * inv_w[d]
-                    r2 += nd * nd
-                beta = beta0 * exp(-gamma * r2)
-                ek = eps[k]
-                k += 1
-                for d in dims:
-                    v = pi[d] + beta * diff[d] + aw[d] * ek[d]
-                    if v < lo[d]:
-                        v = lo[d]
-                    elif v > hi[d]:
-                        v = hi[d]
-                    pi[d] = v
-    else:
-        snap = [row[:] for row in pos]
-        for i in range(pop):
-            ci = counts[i]
-            pi = pos[i]
+            ek = eps[k]
+            k += 1
+            for d in dims:
+                v = pi[d] + aw[d] * ek[d]
+                if v < lo[d]:
+                    v = lo[d]
+                elif v > hi[d]:
+                    v = hi[d]
+                pi[d] = v
+        elif synchronous:
             si = snap[i]
-            if ci == 0:
-                if params.elitism:
-                    continue
-                ek = eps[k]
-                k += 1
-                for d in dims:
-                    v = pi[d] + aw[d] * ek[d]
-                    if v < lo[d]:
-                        v = lo[d]
-                    elif v > hi[d]:
-                        v = hi[d]
-                    pi[d] = v
-                continue
             acc = [0.0] * dim
             for j in range(ci):
                 sj = snap[j]
@@ -398,6 +370,25 @@ def pairwise_sweep(
                 elif v > hi[d]:
                     v = hi[d]
                 pi[d] = v
+        else:
+            for j in range(ci):
+                pj = pos[j]
+                r2 = 0.0
+                for d in dims:
+                    dd = pj[d] - pi[d]
+                    diff[d] = dd
+                    nd = dd * inv_w[d]
+                    r2 += nd * nd
+                beta = beta0 * exp(-gamma * r2)
+                ek = eps[k]
+                k += 1
+                for d in dims:
+                    v = pi[d] + beta * diff[d] + aw[d] * ek[d]
+                    if v < lo[d]:
+                        v = lo[d]
+                    elif v > hi[d]:
+                        v = hi[d]
+                    pi[d] = v
 
     for fly, row in zip(flies, pos):
         fly.position = np.asarray(row, dtype=float)

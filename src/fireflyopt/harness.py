@@ -31,18 +31,6 @@ from .variants import (
     reduction_mode,
 )
 
-VARIANTS = (
-    "base",
-    "elitist",
-    "gaussian_pull",
-    "levy",
-    "chaotic_alpha",
-    "multiswarm",
-    "sa_like",
-    "de_like",
-    "pso_like",
-)
-
 _REQUIRED_KEYS = ("benchmark", "variant", "repetitions", "base_seed")
 
 # key -> (type, default); None default means resolved elsewhere
@@ -210,7 +198,7 @@ def parse_config(source: str) -> ExperimentConfig:
 
     variant = values["variant"]
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
     benchmark = values["benchmark"]
     if benchmark != "moving_peaks" and benchmark not in benchmark_names():
         raise ValueError(
@@ -356,43 +344,64 @@ def run_multiswarm(
     return report, events
 
 
+# The runners look up the variant hooks as module globals at call time, so
+# a replaced global (for instance a tracing wrapper) sees every call.
+
+
+def _run_base(objective: Objective, params: FaParams, config: ExperimentConfig, seed: int) -> RunReport:
+    return run(objective, params, seed)
+
+
+def _run_elitist(objective: Objective, params: FaParams, config: ExperimentConfig, seed: int) -> RunReport:
+    m = config.elitist_trials
+
+    def best_move(state, objective, params, alpha_t):
+        elitist_best_move(state, m, params, objective, alpha=alpha_t)
+
+    return run(objective, params, seed, best_move=best_move)
+
+
+def _run_levy(objective: Objective, params: FaParams, config: ExperimentConfig, seed: int) -> RunReport:
+    lam = config.levy_lambda
+
+    def levy_sweep(state, objective, params, alpha_t):
+        pairwise_sweep(state, objective, params, alpha_t, eps_fn=lambda rng, n: levy_step(rng, n, lam))
+
+    return run(objective, params, seed, sweep=levy_sweep)
+
+
+def _run_pull(objective: Objective, params: FaParams, config: ExperimentConfig, seed: int) -> RunReport:
+    def pull_sweep(state, objective, params, alpha_t):
+        global_best_pull_step(state, objective, params, alpha=alpha_t)
+
+    return run(objective, params, seed, sweep=pull_sweep)
+
+
+def _run_multiswarm(objective: Objective, params: FaParams, config: ExperimentConfig, seed: int) -> RunReport:
+    report, _ = run_multiswarm(objective, params, config.multiswarm, seed)
+    return report
+
+
+# variant -> (runner, reduction_mode preset applied to the params or None)
+VARIANTS = {
+    "base": (_run_base, None),
+    "elitist": (_run_elitist, None),
+    "gaussian_pull": (_run_pull, None),
+    "levy": (_run_levy, None),
+    "chaotic_alpha": (_run_base, None),
+    "multiswarm": (_run_multiswarm, None),
+    "sa_like": (_run_base, "sa_like"),
+    "de_like": (_run_base, "de_like"),
+    "pso_like": (_run_pull, "pso_like"),
+}
+
+
 def run_single(config: ExperimentConfig, seed: int) -> RunReport:
     """One repetition of the configured variant with the given seed."""
     objective = build_objective(config, seed)
-    params = config.params
-    variant = config.variant
-
-    if variant == "multiswarm":
-        report, _ = run_multiswarm(objective, params, config.multiswarm, seed)
-        return report
-    if variant in ("base", "elitist", "chaotic_alpha"):
-        best_move = None
-        if variant == "elitist":
-            m = config.elitist_trials
-
-            def best_move(state, objective, params, alpha_t):
-                elitist_best_move(state, m, params, objective, alpha=alpha_t)
-
-        return run(objective, params, seed, best_move=best_move)
-    if variant == "levy":
-        lam = config.levy_lambda
-
-        def levy_sweep(state, objective, params, alpha_t):
-            pairwise_sweep(
-                state, objective, params, alpha_t, eps_fn=lambda rng, n: levy_step(rng, n, lam)
-            )
-
-        return run(objective, params, seed, sweep=levy_sweep)
-    if variant in ("gaussian_pull", "pso_like"):
-        if variant == "pso_like":
-            params = reduction_mode("pso_like", params)
-
-        def pull_sweep(state, objective, params, alpha_t):
-            global_best_pull_step(state, objective, params, alpha=alpha_t)
-
-        return run(objective, params, seed, sweep=pull_sweep)
-    params = reduction_mode(variant, params, seed=seed)
-    return run(objective, params, seed)
+    runner, preset = VARIANTS[config.variant]
+    params = config.params if preset is None else reduction_mode(preset, config.params, seed=seed)
+    return runner(objective, params, config, seed)
 
 
 def _optimum_value(config: ExperimentConfig) -> Optional[float]:
@@ -532,24 +541,3 @@ def compare_variants(configs: list[ExperimentConfig], workers: int = 1) -> str:
         ]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def parse_compare_table(text: str) -> list[dict]:
-    """Inverse of compare_variants for checking and downstream tooling."""
-    rows = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if cells[0] == "variant":
-            continue
-        rows.append(
-            {
-                "variant": cells[0],
-                "mean_best": float(cells[1]),
-                "std_best": float(cells[2]),
-                "success_rate": None if cells[3] == "" else float(cells[3]),
-                "mean_fes_to_success": None if cells[4] == "" else float(cells[4]),
-            }
-        )
-    return rows

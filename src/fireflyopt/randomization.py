@@ -7,7 +7,7 @@ arguments: replaying the same state reproduces the same values exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,20 +49,6 @@ class ScheduleDescriptor:
                 raise ValueError(
                     f"chaotic x0 must lie in (0, 1) away from {_LOGISTIC_DEGENERATE}, got {self.x0}"
                 )
-
-
-@dataclass(frozen=True)
-class ChaoticStream:
-    """Current iterate of a chaotic map used as a parameter stream."""
-
-    map_id: str = "logistic"
-    x: float = 0.7
-
-    def __post_init__(self):
-        if self.map_id not in CHAOTIC_MAPS:
-            raise ValueError(f"unknown chaotic map {self.map_id!r}")
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError(f"chaotic iterate must lie in [0, 1], got {self.x}")
 
 
 def gaussian_step(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -129,11 +115,3 @@ def alpha_at(schedule: ScheduleDescriptor, t: int) -> float:
     for _ in range(t):
         x = logistic_next(x)
     return schedule.alpha0 * x
-
-
-def chaotic_param_stream(stream: ChaoticStream, lo: float, hi: float) -> tuple[float, ChaoticStream]:
-    """Advance the map one iterate and scale it into [lo, hi]."""
-    if not lo < hi:
-        raise ValueError(f"invalid range [{lo}, {hi}]")
-    x = logistic_next(stream.x)
-    return lo + x * (hi - lo), replace(stream, x=x)

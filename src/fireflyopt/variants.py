@@ -16,10 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    EvaluationError,
     FaParams,
     Objective,
     SwarmState,
+    checked_eval,
     fitness_to_intensity,
     initialize,
     step,
@@ -37,8 +37,8 @@ class MultiSwarmConfig:
     """Layout and interaction radii of a multi-swarm run.
 
     Radii are in normalized coordinates (domain mapped to the unit box).
-    sentinel_count bests are re-evaluated each step to detect landscape
-    changes.
+    sentinel_count fixed probe positions (see make_sentinels) are
+    re-evaluated each step to detect landscape changes.
     """
 
     num_swarms: int
@@ -123,22 +123,17 @@ def elitist_best_move(
     dirs = state.rng.standard_normal((trials, objective.dim))
     winner_pos = None
     winner_fit = best.fitness
-    evals_done = 0
     for u in dirs:
         norm = float(np.linalg.norm(u))
         if norm == 0.0:
             continue
         trial = best.position + alpha * w * (u / norm)
         np.clip(trial, objective.lower, objective.upper, out=trial)
-        value = float(objective.eval(trial))
-        evals_done += 1
-        if math.isnan(value):
-            state.fes_used += evals_done
-            raise EvaluationError(f"objective returned NaN at position {trial.tolist()}")
+        state.fes_used += 1
+        value = checked_eval(objective, trial)
         if value < winner_fit:
             winner_fit = value
             winner_pos = trial
-    state.fes_used += evals_done
     if winner_pos is not None:
         best.position = winner_pos
         best.fitness = winner_fit
@@ -225,6 +220,15 @@ def _rerandomize(swarm: SwarmState, objective: Objective) -> None:
     swarm.best = None
 
 
+def _probe_sentinels(sentinels: SentinelSet, swarms: list[SwarmState], objective: Objective) -> np.ndarray:
+    """Evaluate every sentinel, charging probe k to swarm k mod len(swarms)."""
+    fresh = np.empty(len(sentinels.positions))
+    for k, probe in enumerate(sentinels.positions):
+        swarms[k % len(swarms)].fes_used += 1
+        fresh[k] = checked_eval(objective, probe)
+    return fresh
+
+
 def initialize_multiswarm(
     objective: Objective,
     params: FaParams,
@@ -253,76 +257,43 @@ def multiswarm_step(
     config: MultiSwarmConfig,
     objective: Objective,
     params: FaParams,
+    sentinels: SentinelSet,
     log: Optional[list] = None,
-    sentinels: Optional[SentinelSet] = None,
 ) -> list[SwarmState]:
     """One generation of every swarm plus the interaction operators.
 
-    The sentinel phase runs first: sentinel positions are re-evaluated,
-    and a drift beyond CHANGE_TOLERANCE from their cached values flags a
-    landscape change.  With a SentinelSet the probes are fixed positions
-    (reliable: a cached reference always predates the change); without
-    one, up to sentinel_count stored swarm bests serve as probes, which
-    can miss a change that improves the landscape under every swarm.  On
-    detection every cached fitness is invalidated, the whole population
-    re-evaluated, and each swarm's best rebuilt from the fresh values, so
-    the rest of the generation works on valid data.  Each swarm then
-    performs one base-algorithm step.  Exclusion re-randomizes the worse
-    of two swarms whose bests fall within exclusion_radius of each other;
-    anti-convergence re-randomizes the globally worst swarm once every
-    swarm has collapsed below the anticonvergence_radius diameter.
+    The sentinel phase runs first: the fixed sentinel positions are
+    re-evaluated, and a drift beyond CHANGE_TOLERANCE from their cached
+    values flags a landscape change (a cached reference always predates
+    the change, so an improving shift is caught too).  On detection every
+    cached fitness is invalidated, the whole population re-evaluated, each
+    swarm's best rebuilt from the fresh values, and the sentinel references
+    re-baselined, so the rest of the generation works on valid data.  Each
+    swarm then performs one base-algorithm step.  Exclusion re-randomizes
+    the worse of two swarms whose bests fall within exclusion_radius of
+    each other; anti-convergence re-randomizes the globally worst swarm
+    once every swarm has collapsed below the anticonvergence_radius
+    diameter.
     """
     for i in range(len(swarms)):
         for j in range(i + 1, len(swarms)):
             if swarms[i].rng.bit_generator.state == swarms[j].rng.bit_generator.state:
                 raise ValueError(f"swarms {i} and {j} share an identical random stream")
 
-    changed = False
-    if sentinels is not None and len(sentinels.positions):
-        fresh = np.empty(len(sentinels.positions))
-        for k, probe in enumerate(sentinels.positions):
-            value = float(objective.eval(probe))
-            swarms[k % len(swarms)].fes_used += 1
-            if math.isnan(value):
-                raise EvaluationError(f"objective returned NaN at position {probe.tolist()}")
-            fresh[k] = value
-        if sentinels.values is None:
-            sentinels.values = fresh
-        elif np.any(np.abs(fresh - sentinels.values) > CHANGE_TOLERANCE):
-            changed = True
-    else:
-        checked = 0
-        for swarm in swarms:
-            if checked >= config.sentinel_count:
-                break
-            sentinel = swarm.best
-            if sentinel is None:
-                continue
-            value = float(objective.eval(sentinel.position))
-            swarm.fes_used += 1
-            checked += 1
-            if math.isnan(value):
-                raise EvaluationError(f"objective returned NaN at position {sentinel.position.tolist()}")
-            if abs(value - sentinel.fitness) > CHANGE_TOLERANCE:
-                changed = True
-    if changed:
+    fresh = _probe_sentinels(sentinels, swarms, objective)
+    if sentinels.values is None:
+        sentinels.values = fresh
+    elif np.any(np.abs(fresh - sentinels.values) > CHANGE_TOLERANCE):
         for swarm in swarms:
             for fly in swarm.fireflies:
-                value = float(objective.eval(fly.position))
-                if math.isnan(value):
-                    raise EvaluationError(f"objective returned NaN at position {fly.position.tolist()}")
-                fly.fitness = value
-                fly.intensity = fitness_to_intensity(value)
+                fly.fitness = checked_eval(objective, fly.position)
+                fly.intensity = fitness_to_intensity(fly.fitness)
             swarm.fes_used += len(swarm.fireflies)
             swarm.best = min(swarm.fireflies, key=lambda f: f.fitness).copy()
-        if sentinels is not None and len(sentinels.positions):
-            # re-baseline the probes after the invalidation pass, so the
-            # references are wholly post-change even when the shift landed
-            # mid-way through the probe loop above
-            for k, probe in enumerate(sentinels.positions):
-                value = float(objective.eval(probe))
-                swarms[k % len(swarms)].fes_used += 1
-                sentinels.values[k] = value
+        # re-baseline the probes after the invalidation pass, so the
+        # references are wholly post-change even when the shift landed
+        # mid-way through the probe loop above
+        sentinels.values = _probe_sentinels(sentinels, swarms, objective)
         if log is not None:
             log.append({"event": "change"})
 

@@ -173,6 +173,12 @@ def test_objective_validation():
         )
 
 
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf)])
+def test_objective_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(ValueError, match=r"bounds must be finite, got lower=\[.*inf"):
+        Objective(dim=2, lower=np.array([lo, 0.0]), upper=np.array([hi, 1.0]), eval=lambda x: 0.0)
+
+
 # ------------------------------------------------------------- initialize
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from fireflyopt import parse_config, run_experiment
 from fireflyopt.cli import main
-from fireflyopt.harness import compare_variants, emit_results, parse_compare_table, run_single
+from fireflyopt.harness import compare_variants, emit_results, run_single
 
 MINIMAL = """
 benchmark: sphere
@@ -261,6 +261,27 @@ def test_emit_requires_destination():
 
 
 # ----------------------------------------------------------------- compare
+
+
+def parse_compare_table(text: str) -> list[dict]:
+    """Inverse of compare_variants: one dict per data row."""
+    rows = []
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if cells[0] == "variant":
+            continue
+        rows.append(
+            {
+                "variant": cells[0],
+                "mean_best": float(cells[1]),
+                "std_best": float(cells[2]),
+                "success_rate": None if cells[3] == "" else float(cells[3]),
+                "mean_fes_to_success": None if cells[4] == "" else float(cells[4]),
+            }
+        )
+    return rows
 
 
 def test_compare_single_config_roundtrip():

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from fireflyopt import (
-    ChaoticStream,
     ScheduleDescriptor,
     alpha_at,
-    chaotic_param_stream,
     gaussian_step,
     levy_step,
     logistic_next,
@@ -129,19 +127,6 @@ def test_schedule_validation():
     for x0 in (0.0, 0.25, 0.5, 0.75, 1.0):
         with pytest.raises(ValueError):
             ScheduleDescriptor("chaotic", alpha0=0.2, x0=x0)
-
-
-def test_chaotic_param_stream():
-    value, stream = chaotic_param_stream(ChaoticStream(x=0.5), 0.0, 10.0)
-    assert value == 10.0 and stream.x == 1.0
-    value, stream = chaotic_param_stream(ChaoticStream(x=0.0), -3.0, 8.0)
-    assert value == -3.0 and stream.x == 0.0
-    stream = ChaoticStream(x=0.7)
-    for _ in range(50):
-        value, stream = chaotic_param_stream(stream, 2.0, 2.0 + 1e-9)
-        assert 2.0 <= value <= 2.0 + 1e-9
-    with pytest.raises(ValueError):
-        chaotic_param_stream(ChaoticStream(x=0.7), 1.0, 1.0)
 
 
 def test_batched_draws_match_sequential():

@@ -7,8 +7,10 @@ import pytest
 from reduction_oracles import oracle_positions
 
 from fireflyopt import (
+    EvaluationError,
     FaParams,
     MultiSwarmConfig,
+    Objective,
     PenaltySpec,
     ScheduleDescriptor,
     elitist_best_move,
@@ -205,7 +207,7 @@ def test_multiswarm_rejects_identical_streams():
     swarms = [initialize(obj, swarm_params, 9), initialize(obj, swarm_params, 9)]
     config = MultiSwarmConfig(num_swarms=2, swarm_size=2, exclusion_radius=0.1, anticonvergence_radius=0.05)
     with pytest.raises(ValueError, match="identical random stream"):
-        multiswarm_step(swarms, config, obj, params)
+        multiswarm_step(swarms, config, obj, params, sentinels=make_sentinels(obj, 1, 9))
 
 
 def test_multiswarm_exclusion_rerandomizes_exactly_one():
@@ -218,7 +220,7 @@ def test_multiswarm_exclusion_rerandomizes_exactly_one():
         for i, fly in enumerate(swarm.fireflies):
             fly.position = np.array([0.01 * k, 0.01 * i])
     log = []
-    multiswarm_step(swarms, config, obj, params, log=log)
+    multiswarm_step(swarms, config, obj, params, log=log, sentinels=make_sentinels(obj, 1, 3))
     assert sum(1 for e in log if e["event"] == "exclusion") == 1
     nones = [swarm.best is None for swarm in swarms]
     assert sum(nones) == 1
@@ -237,7 +239,7 @@ def test_multiswarm_anticonvergence_rerandomizes_worst():
     for i, fly in enumerate(swarms[1].fireflies):
         fly.position = np.array([4.0, 4.0 + 1e-4 * i])
     log = []
-    multiswarm_step(swarms, config, obj, params, log=log)
+    multiswarm_step(swarms, config, obj, params, log=log, sentinels=make_sentinels(obj, 1, 4))
     assert any(e["event"] == "anticonvergence" and e["swarm"] == 1 for e in log)
     assert swarms[1].best is None
     assert swarms[0].best is not None
@@ -248,12 +250,12 @@ def test_multiswarm_static_objective_never_flags_change():
     params = FaParams(pop_size=6, max_fes=100_000)
     config = MultiSwarmConfig(num_swarms=2, swarm_size=3, exclusion_radius=0.05,
                               anticonvergence_radius=0.01, sentinel_count=2)
-    for probes in (None, make_sentinels(obj, 2, 55)):
-        swarms = initialize_multiswarm(obj, params, config, 5)
-        log = []
-        for _ in range(50):
-            multiswarm_step(swarms, config, obj, params, log=log, sentinels=probes)
-        assert not any(e["event"] == "change" for e in log)
+    probes = make_sentinels(obj, 2, 55)
+    swarms = initialize_multiswarm(obj, params, config, 5)
+    log = []
+    for _ in range(50):
+        multiswarm_step(swarms, config, obj, params, log=log, sentinels=probes)
+    assert not any(e["event"] == "change" for e in log)
 
 
 def test_multiswarm_flags_change_on_first_sentinel_cycle_after_shift():
@@ -288,14 +290,85 @@ def test_multiswarm_bests_separated_after_step():
     config = MultiSwarmConfig(num_swarms=4, swarm_size=2, exclusion_radius=0.1,
                               anticonvergence_radius=0.01, sentinel_count=1)
     swarms = initialize_multiswarm(obj, params, config, 11)
+    sentinels = make_sentinels(obj, config.sentinel_count, 11)
     for _ in range(30):
-        multiswarm_step(swarms, config, obj, params)
+        multiswarm_step(swarms, config, obj, params, sentinels=sentinels)
         width = obj.upper - obj.lower
         bests = [s.best for s in swarms if s.best is not None]
         for i in range(len(bests)):
             for j in range(i + 1, len(bests)):
                 gap = np.linalg.norm((bests[i].position - bests[j].position) / width)
                 assert gap >= config.exclusion_radius
+
+
+# ------------------------------------------------------- checked evaluation
+
+
+class SwitchableSphere:
+    """2-D sphere on [-1, 1]^2 that returns `bad` once it is set."""
+
+    def __init__(self):
+        self.bad = None
+        self.objective = Objective(dim=2, lower=np.full(2, -1.0), upper=np.full(2, 1.0), eval=self)
+
+    def __call__(self, x):
+        return float(np.sum(x * x)) if self.bad is None else self.bad
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("site", ["evaluate", "elitist_probe", "sentinel_probe"])
+def test_non_finite_fitness_raises_evaluation_error(site, bad):
+    fn = SwitchableSphere()
+    obj = fn.objective
+    params = FaParams(pop_size=4, max_fes=1000)
+    if site == "evaluate":
+        state = initialize(obj, params, 0)
+
+        def call():
+            evaluate(state, obj, params)
+    elif site == "elitist_probe":
+        state = evaluated_state(obj, params, 0)
+
+        def call():
+            elitist_best_move(state, 3, params, obj, alpha=0.1)
+    else:
+        config = MultiSwarmConfig(num_swarms=2, swarm_size=2, exclusion_radius=0.1, anticonvergence_radius=0.05)
+        swarms = initialize_multiswarm(obj, params, config, 0)
+        sentinels = make_sentinels(obj, 1, 0)
+
+        def call():
+            multiswarm_step(swarms, config, obj, params, sentinels=sentinels)
+    fn.bad = bad
+    with pytest.raises(EvaluationError, match=f"returned {bad}"):
+        call()
+
+
+def test_sentinel_rebaseline_rejects_nan():
+    # A NaN reference would turn every later drift comparison False and
+    # silently end change detection for the rest of the run.
+    calls = {"n": 0, "shift": 0.0, "nan": range(0)}
+
+    def fn(x):
+        calls["n"] += 1
+        if calls["n"] in calls["nan"]:
+            return math.nan
+        return float(np.sum(x * x)) + calls["shift"]
+
+    obj = Objective(dim=2, lower=np.full(2, -1.0), upper=np.full(2, 1.0), eval=fn)
+    params = FaParams(pop_size=4, max_fes=10_000)
+    config = MultiSwarmConfig(num_swarms=2, swarm_size=2, exclusion_radius=0.05,
+                              anticonvergence_radius=1e-6, sentinel_count=2)
+    swarms = initialize_multiswarm(obj, params, config, 6)
+    sentinels = make_sentinels(obj, 2, 66)
+    multiswarm_step(swarms, config, obj, params, sentinels=sentinels)  # caches the references
+    calls["shift"] = 1.0
+    # the change generation: 2 probes see the shift, 4 re-evaluations, then
+    # the 2 re-baseline probes, which alone return NaN
+    first = calls["n"] + 2 + 4 + 1
+    calls["nan"] = range(first, first + 2)
+    with pytest.raises(EvaluationError):
+        multiswarm_step(swarms, config, obj, params, sentinels=sentinels)
+    assert calls["n"] == first
 
 
 # ----------------------------------------------------------------- penalty
