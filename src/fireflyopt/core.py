@@ -16,7 +16,6 @@ dimension by the domain width.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -154,16 +153,13 @@ class SwarmState:
 class RunReport:
     """Per-generation best-so-far trace plus the final solution.
 
-    trace rows are (generation, fes_used, best_fitness).  wall_time is
-    informational only and never serialized, so emitted artifacts stay
-    byte-reproducible.
+    trace rows are (generation, fes_used, best_fitness).
     """
 
     trace: list[tuple[int, int, float]]
     final_best: Firefly
     fes_total: int
     seed: int
-    wall_time: float = 0.0
 
 
 def intensity_at(i0: float, gamma: float, r: float) -> float:
@@ -290,7 +286,6 @@ def pairwise_sweep(
     objective: Objective,
     params: FaParams,
     alpha_t: float,
-    best_move: Optional[Callable] = None,
     eps_fn: Optional[Callable] = None,
 ) -> None:
     """Movement phase over an evaluated, sorted population.
@@ -302,8 +297,7 @@ def pairwise_sweep(
     snapshot and positions are clamped once, after accumulation.
 
     A firefly with no brighter peer takes a plain alpha-scaled random step,
-    unless elitism is on, in which case it holds position and the optional
-    best_move hook may probe improving directions for the brightest one.
+    unless elitism is on, in which case it holds position.
 
     eps_fn overrides the random-step source (signature: rng, n -> vector);
     by default steps follow params.epsilon_kind.  The inner loops run on
@@ -396,16 +390,12 @@ def pairwise_sweep(
     for fly, row in zip(flies, pos):
         fly.position = np.asarray(row, dtype=float)
 
-    if params.elitism and best_move is not None:
-        best_move(state, objective, params, alpha_t)
-
 
 def step(
     state: SwarmState,
     objective: Objective,
     params: FaParams,
     sweep: Optional[Callable] = None,
-    best_move: Optional[Callable] = None,
 ) -> SwarmState:
     """One generation: schedule alpha, evaluate, sort, track best, move.
 
@@ -421,7 +411,7 @@ def step(
     find_best(state)
     if state.fes_used < params.max_fes:
         if sweep is None:
-            pairwise_sweep(state, objective, params, alpha_t, best_move=best_move)
+            pairwise_sweep(state, objective, params, alpha_t)
         else:
             sweep(state, objective, params, alpha_t)
     state.t += 1
@@ -433,22 +423,14 @@ def run(
     params: FaParams,
     seed: int,
     sweep: Optional[Callable] = None,
-    best_move: Optional[Callable] = None,
 ) -> RunReport:
     """Full search: step until the evaluation budget is spent.
 
     The (objective, params, seed) triple fully determines the report.
     """
-    started = time.perf_counter()
     state = initialize(objective, params, seed)
     trace: list[tuple[int, int, float]] = []
     while state.fes_used < params.max_fes:
-        step(state, objective, params, sweep=sweep, best_move=best_move)
+        step(state, objective, params, sweep=sweep)
         trace.append((state.t - 1, state.fes_used, state.best.fitness))
-    return RunReport(
-        trace=trace,
-        final_best=state.best.copy(),
-        fes_total=state.fes_used,
-        seed=seed,
-        wall_time=time.perf_counter() - started,
-    )
+    return RunReport(trace=trace, final_best=state.best.copy(), fes_total=state.fes_used, seed=seed)

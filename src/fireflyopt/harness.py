@@ -9,11 +9,10 @@ run sequentially or concurrently.
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -31,63 +30,118 @@ from .variants import (
     reduction_mode,
 )
 
-_REQUIRED_KEYS = ("benchmark", "variant", "repetitions", "base_seed")
-
-# key -> (type, default); None default means resolved elsewhere
-_KEY_SPEC = {
-    "benchmark": (str, None),
-    "variant": (str, None),
-    "repetitions": (int, None),
-    "base_seed": (int, None),
-    "dim": (int, 2),
-    "alpha": (float, 0.2),
-    "beta0": (float, 1.0),
-    "gamma": (float, 1.0),
-    "pop_size": (int, 25),
-    "max_fes": (int, 50_000),
-    "epsilon_kind": (str, "gaussian"),
-    "update_scheme": (str, "asynchronous"),
-    "elitism": (bool, None),
-    "alpha_schedule": (str, None),
-    "schedule_ratio": (float, 0.97),
-    "schedule_x0": (float, 0.7),
-    "success_threshold": (float, 1e-2),
-    "output_dir": (str, None),
-    "levy_lambda": (float, 1.5),
-    "elitist_trials": (int, 2),
-    "num_swarms": (int, 5),
-    "swarm_size": (int, None),
-    "exclusion_radius": (float, 0.1),
-    "anticonvergence_radius": (float, 0.05),
-    "sentinel_count": (int, 1),
-    "peak_count": (int, 5),
-    "shift_interval": (int, 5000),
-    "shift_length": (float, 10.0),
-    "peaks_lower": (float, 0.0),
-    "peaks_upper": (float, 100.0),
-}
+# variant -> (key, value) the variant forces; any other explicit value is an error
+_FORCED = {"elitist": ("elitism", True), "chaotic_alpha": ("alpha_schedule", "chaotic")}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description."""
+    """Fully resolved experiment description.
+
+    The fields are the config keys: a config document sets some of them,
+    a field without a default is a required key, and the summary echoes
+    every field but output_dir as resolved.  elitism and alpha_schedule
+    default by variant (elitism off, a geometric schedule), and a
+    multiswarm swarm_size defaults to pop_size // num_swarms.
+    """
 
     benchmark: str
-    dim: int
     variant: str
     repetitions: int
     base_seed: int
-    params: FaParams
-    success_threshold: float
-    output_dir: Optional[str]
-    levy_lambda: float
-    elitist_trials: int
-    multiswarm: Optional[MultiSwarmConfig]
-    peak_count: int
-    shift_interval: Optional[int]
-    shift_length: float
-    peaks_lower: float
-    peaks_upper: float
+    dim: int = 2
+    alpha: float = 0.2
+    beta0: float = 1.0
+    gamma: float = 1.0
+    pop_size: int = 25
+    max_fes: int = 50_000
+    epsilon_kind: str = "gaussian"
+    update_scheme: str = "asynchronous"
+    elitism: Optional[bool] = None
+    alpha_schedule: Optional[str] = None
+    schedule_ratio: float = 0.97
+    schedule_x0: float = 0.7
+    success_threshold: float = 1e-2
+    output_dir: Optional[str] = None
+    levy_lambda: float = 1.5
+    elitist_trials: int = 2
+    num_swarms: int = 5
+    swarm_size: Optional[int] = None
+    exclusion_radius: float = 0.1
+    anticonvergence_radius: float = 0.05
+    sentinel_count: int = 1
+    peak_count: int = 5
+    shift_interval: int = 5000
+    shift_length: float = 10.0
+    peaks_lower: float = 0.0
+    peaks_upper: float = 100.0
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}")
+        if self.benchmark != "moving_peaks" and self.benchmark not in benchmark_names():
+            raise ValueError(
+                f"unknown benchmark {self.benchmark!r}; known: {', '.join(benchmark_names())}, moving_peaks"
+            )
+        if self.repetitions < 1:
+            raise ValueError("malformed value for 'repetitions': must be >= 1")
+
+        if self.variant in _FORCED:
+            key, value = _FORCED[self.variant]
+            if getattr(self, key) not in (None, value):
+                raise ValueError(
+                    f"the {self.variant} variant requires {key} {value!r}; "
+                    f"drop the {key!r} key or set it to {value!r}"
+                )
+            object.__setattr__(self, key, value)
+        if self.alpha_schedule is None:
+            object.__setattr__(self, "alpha_schedule", "geometric")
+        if self.elitism is None:
+            object.__setattr__(self, "elitism", False)
+        self.params  # validates the run parameters
+
+        if self.variant == "multiswarm":
+            if self.swarm_size is None:
+                if self.pop_size % self.num_swarms != 0:
+                    raise ValueError(
+                        "malformed value for 'num_swarms': it must divide pop_size, "
+                        "or set 'swarm_size' explicitly"
+                    )
+                object.__setattr__(self, "swarm_size", self.pop_size // self.num_swarms)
+            self.multiswarm  # validates the layout and radii
+            if self.num_swarms * self.swarm_size != self.pop_size:
+                raise ValueError("num_swarms * swarm_size must equal pop_size")
+
+    @property
+    def params(self) -> FaParams:
+        """The run parameters, alpha schedule included."""
+        schedule = ScheduleDescriptor(
+            kind=self.alpha_schedule, alpha0=self.alpha, ratio=self.schedule_ratio, x0=self.schedule_x0
+        )
+        return FaParams(
+            alpha=self.alpha,
+            beta0=self.beta0,
+            gamma=self.gamma,
+            pop_size=self.pop_size,
+            max_fes=self.max_fes,
+            epsilon_kind=self.epsilon_kind,
+            update_scheme=self.update_scheme,
+            alpha_schedule=schedule,
+            elitism=self.elitism,
+        )
+
+    @property
+    def multiswarm(self) -> Optional[MultiSwarmConfig]:
+        """The multi-swarm layout, or None when the variant is not multiswarm."""
+        if self.variant != "multiswarm":
+            return None
+        return MultiSwarmConfig(
+            num_swarms=self.num_swarms,
+            swarm_size=self.swarm_size,
+            exclusion_radius=self.exclusion_radius,
+            anticonvergence_radius=self.anticonvergence_radius,
+            sentinel_count=self.sentinel_count,
+        )
 
     def flat(self) -> dict:
         """Canonical flat key/value form, defaults filled in.
@@ -95,41 +149,9 @@ class ExperimentConfig:
         The output destination is excluded on purpose: emitted artifacts
         must not depend on where they are written.
         """
-        sched = self.params.alpha_schedule
-        ms = self.multiswarm
-        return {
-            "benchmark": self.benchmark,
-            "variant": self.variant,
-            "repetitions": self.repetitions,
-            "base_seed": self.base_seed,
-            "dim": self.dim,
-            "alpha": self.params.alpha,
-            "beta0": self.params.beta0,
-            "gamma": self.params.gamma,
-            "pop_size": self.params.pop_size,
-            "max_fes": self.params.max_fes,
-            "epsilon_kind": self.params.epsilon_kind,
-            "update_scheme": self.params.update_scheme,
-            "elitism": self.params.elitism,
-            "alpha_schedule": sched.kind,
-            "schedule_ratio": sched.ratio,
-            "schedule_x0": sched.x0,
-            "success_threshold": self.success_threshold,
-            "levy_lambda": self.levy_lambda,
-            "elitist_trials": self.elitist_trials,
-            "num_swarms": ms.num_swarms if ms else _KEY_SPEC["num_swarms"][1],
-            "swarm_size": ms.swarm_size if ms else None,
-            "exclusion_radius": ms.exclusion_radius if ms else _KEY_SPEC["exclusion_radius"][1],
-            "anticonvergence_radius": (
-                ms.anticonvergence_radius if ms else _KEY_SPEC["anticonvergence_radius"][1]
-            ),
-            "sentinel_count": ms.sentinel_count if ms else _KEY_SPEC["sentinel_count"][1],
-            "peak_count": self.peak_count,
-            "shift_interval": self.shift_interval,
-            "shift_length": self.shift_length,
-            "peaks_lower": self.peaks_lower,
-            "peaks_upper": self.peaks_upper,
-        }
+        values = asdict(self)
+        del values["output_dir"]
+        return values
 
 
 @dataclass(frozen=True)
@@ -152,8 +174,9 @@ class SummaryStats:
     mean_fes_to_success: Optional[float]
 
 
-def _coerce(key: str, value):
-    want, _ = _KEY_SPEC[key]
+def _coerce(key: str, value, want):
+    if get_origin(want) is Union:  # Optional[T] reads as T
+        want = get_args(want)[0]
     if want is bool:
         if isinstance(value, bool):
             return value
@@ -185,100 +208,14 @@ def parse_config(source: str) -> ExperimentConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ValueError("config must be a flat key/value mapping")
+    types = get_type_hints(ExperimentConfig)
     for key in raw:
-        if key not in _KEY_SPEC:
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
-            raise ValueError(f"missing required config key {key!r}")
-
-    values = {}
-    for key, (_, default) in _KEY_SPEC.items():
-        values[key] = _coerce(key, raw[key]) if key in raw else default
-
-    variant = values["variant"]
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
-    benchmark = values["benchmark"]
-    if benchmark != "moving_peaks" and benchmark not in benchmark_names():
-        raise ValueError(
-            f"unknown benchmark {benchmark!r}; known: {', '.join(benchmark_names())}, moving_peaks"
-        )
-    if values["repetitions"] < 1:
-        raise ValueError("malformed value for 'repetitions': must be >= 1")
-
-    schedule_kind = values["alpha_schedule"]
-    if variant == "chaotic_alpha":
-        if schedule_kind not in (None, "chaotic"):
-            raise ValueError("the chaotic_alpha variant requires alpha_schedule 'chaotic'")
-        schedule_kind = "chaotic"
-    elif schedule_kind is None:
-        schedule_kind = "geometric"
-    schedule = ScheduleDescriptor(
-        kind=schedule_kind,
-        alpha0=values["alpha"],
-        ratio=values["schedule_ratio"],
-        x0=values["schedule_x0"],
-    )
-
-    elitism = values["elitism"]
-    if variant == "elitist":
-        if elitism is False:
-            raise ValueError("the elitist variant requires elitism; drop the 'elitism' key or set it true")
-        elitism = True
-    elif elitism is None:
-        elitism = False
-
-    params = FaParams(
-        alpha=values["alpha"],
-        beta0=values["beta0"],
-        gamma=values["gamma"],
-        pop_size=values["pop_size"],
-        max_fes=values["max_fes"],
-        epsilon_kind=values["epsilon_kind"],
-        update_scheme=values["update_scheme"],
-        alpha_schedule=schedule,
-        elitism=elitism,
-    )
-
-    ms = None
-    if variant == "multiswarm":
-        swarm_size = values["swarm_size"]
-        if swarm_size is None:
-            if params.pop_size % values["num_swarms"] != 0:
-                raise ValueError(
-                    "malformed value for 'num_swarms': it must divide pop_size, "
-                    "or set 'swarm_size' explicitly"
-                )
-            swarm_size = params.pop_size // values["num_swarms"]
-        ms = MultiSwarmConfig(
-            num_swarms=values["num_swarms"],
-            swarm_size=swarm_size,
-            exclusion_radius=values["exclusion_radius"],
-            anticonvergence_radius=values["anticonvergence_radius"],
-            sentinel_count=values["sentinel_count"],
-        )
-        if ms.num_swarms * ms.swarm_size != params.pop_size:
-            raise ValueError("num_swarms * swarm_size must equal pop_size")
-
-    return ExperimentConfig(
-        benchmark=benchmark,
-        dim=values["dim"],
-        variant=variant,
-        repetitions=values["repetitions"],
-        base_seed=values["base_seed"],
-        params=params,
-        success_threshold=values["success_threshold"],
-        output_dir=values["output_dir"],
-        levy_lambda=values["levy_lambda"],
-        elitist_trials=values["elitist_trials"],
-        multiswarm=ms,
-        peak_count=values["peak_count"],
-        shift_interval=values["shift_interval"],
-        shift_length=values["shift_length"],
-        peaks_lower=values["peaks_lower"],
-        peaks_upper=values["peaks_upper"],
-    )
+    for field in fields(ExperimentConfig):
+        if field.default is MISSING and field.name not in raw:
+            raise ValueError(f"missing required config key {field.name!r}")
+    return ExperimentConfig(**{key: _coerce(key, value, types[key]) for key, value in raw.items()})
 
 
 def build_objective(config: ExperimentConfig, seed: int) -> Objective:
@@ -315,7 +252,6 @@ def run_multiswarm(
     interaction event log (exclusions, anti-convergence resets, detected
     landscape changes), each tagged with its generation.
     """
-    started = time.perf_counter()
     swarms = initialize_multiswarm(objective, params, config, seed)
     sentinels = make_sentinels(objective, config.sentinel_count, np.random.SeedSequence(seed, spawn_key=(3,)))
     events: list[dict] = []
@@ -334,13 +270,7 @@ def run_multiswarm(
         global_best = min(bests, key=lambda b: b.fitness)
         trace.append((gen, total, global_best.fitness))
         gen += 1
-    report = RunReport(
-        trace=trace,
-        final_best=global_best.copy(),
-        fes_total=total,
-        seed=seed,
-        wall_time=time.perf_counter() - started,
-    )
+    report = RunReport(trace=trace, final_best=global_best.copy(), fes_total=total, seed=seed)
     return report, events
 
 
@@ -355,10 +285,11 @@ def _run_base(objective: Objective, params: FaParams, config: ExperimentConfig, 
 def _run_elitist(objective: Objective, params: FaParams, config: ExperimentConfig, seed: int) -> RunReport:
     m = config.elitist_trials
 
-    def best_move(state, objective, params, alpha_t):
+    def elitist_sweep(state, objective, params, alpha_t):
+        pairwise_sweep(state, objective, params, alpha_t)
         elitist_best_move(state, m, params, objective, alpha=alpha_t)
 
-    return run(objective, params, seed, best_move=best_move)
+    return run(objective, params, seed, sweep=elitist_sweep)
 
 
 def _run_levy(objective: Objective, params: FaParams, config: ExperimentConfig, seed: int) -> RunReport:

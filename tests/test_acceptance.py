@@ -162,6 +162,11 @@ def test_criterion_3_multimodal_subdivision_as_pinned():
     on the four-peaks box being square (w = 10 in both dimensions), which
     gives engine gamma 100.
 
+    Subdivision is counted two ways on the same final populations, each
+    with its own >= 15/30 floor: coverage (>= 2 minima with a firefly
+    within 0.5) and single-linkage clustering at link radius 0.5 (clusters
+    reaching >= 2 distinct minima).
+
     Passing the paper's value unchanged as engine gamma 1 (Cartesian 0.01)
     leaves cross-peak attraction between the two deep minima at
     exp(-0.16) = 0.85, which drains every emerging subgroup into one
@@ -172,20 +177,11 @@ def test_criterion_3_multimodal_subdivision_as_pinned():
     # Square box: width[0] is the width of every dimension.
     engine_gamma = cartesian_gamma * float(obj.width[0]) ** 2
     params = FaParams(pop_size=40, max_fes=20_000, gamma=engine_gamma)
-    hits = sum(_peaks_covered(_final_population(obj, params, seed)) >= 2 for seed in range(30))
-    report(3, f"multi-modal subdivision at gamma=1 Cartesian (engine gamma {params.gamma:g}) (>= 15/30)",
-           hits >= 15, f"{hits}/30")
-
-
-def test_criterion_3_companion_subdivision_at_raw_unit_scale():
-    """Same protocol at gamma=100 normalized (= 1 in raw units): subdivision holds."""
-    obj = lookup("four_peaks", 2)
-    params = FaParams(pop_size=40, max_fes=20_000, gamma=100.0)
     populations = [_final_population(obj, params, seed) for seed in range(30)]
     coverage_hits = sum(_peaks_covered(pop) >= 2 for pop in populations)
     linkage_hits = sum(_single_linkage_peak_count(pop) >= 2 for pop in populations)
-    ok = coverage_hits >= 15 and linkage_hits >= 15
-    report(3, "subdivision at the raw-unit absorption scale (>= 15/30)", ok,
+    report(3, f"multi-modal subdivision at gamma=1 Cartesian (engine gamma {params.gamma:g}) (>= 15/30)",
+           coverage_hits >= 15 and linkage_hits >= 15,
            f"coverage {coverage_hits}/30, single-linkage {linkage_hits}/30")
 
 

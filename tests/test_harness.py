@@ -1,11 +1,13 @@
 """Experiment harness: config parsing, runs, emitted files, compare table, CLI."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+import yaml
 
-from fireflyopt import parse_config, run_experiment
+from fireflyopt import ExperimentConfig, parse_config, run_experiment
 from fireflyopt.cli import main
 from fireflyopt.harness import compare_variants, emit_results, run_single
 
@@ -91,6 +93,63 @@ def test_parse_variant_wiring():
         parse_config(
             MINIMAL.replace("variant: base", "variant: chaotic_alpha") + "alpha_schedule: constant\n"
         )
+
+
+@pytest.mark.parametrize(
+    "variant, key, value",
+    [("elitist", "elitism", "false"), ("chaotic_alpha", "alpha_schedule", "geometric"),
+     ("chaotic_alpha", "alpha_schedule", "constant")],
+)
+def test_parse_rejects_forced_setting_conflicts(variant, key, value):
+    doc = MINIMAL.replace("variant: base", f"variant: {variant}")
+    with pytest.raises(ValueError, match=key):
+        parse_config(doc + f"{key}: {value}\n")
+
+
+# A valid non-default value for every config key, set on the base variant.
+ECHO_VALUES = {
+    "benchmark": "rastrigin",
+    "variant": "levy",
+    "repetitions": 4,
+    "base_seed": 8,
+    "dim": 3,
+    "alpha": 0.3,
+    "beta0": 0.5,
+    "gamma": 2.0,
+    "pop_size": 12,
+    "max_fes": 900,
+    "epsilon_kind": "uniform_centered",
+    "update_scheme": "synchronous",
+    "elitism": True,
+    "alpha_schedule": "constant",
+    "schedule_ratio": 0.9,
+    "schedule_x0": 0.3,
+    "success_threshold": 0.05,
+    "levy_lambda": 1.2,
+    "elitist_trials": 3,
+    "num_swarms": 3,
+    "swarm_size": 4,
+    "exclusion_radius": 0.2,
+    "anticonvergence_radius": 0.02,
+    "sentinel_count": 2,
+    "peak_count": 3,
+    "shift_interval": 300,
+    "shift_length": 2.5,
+    "peaks_lower": -10.0,
+    "peaks_upper": 50.0,
+}
+
+
+@pytest.mark.parametrize("field", [f for f in fields(ExperimentConfig) if f.name != "output_dir"],
+                         ids=lambda f: f.name)
+def test_summary_echo_reports_each_key_as_set(field):
+    # Every key is echoed as the document set it, multiswarm keys on a
+    # non-multiswarm variant included.
+    value = ECHO_VALUES[field.name]
+    assert value != field.default
+    settings = {**yaml.safe_load(MINIMAL), field.name: value}
+    doc = "".join(f"{key}: {json.dumps(setting)}\n" for key, setting in settings.items())
+    assert parse_config(doc).flat()[field.name] == value
 
 
 def test_parse_multiswarm_layout():
