@@ -3,7 +3,7 @@
 The search loop per generation: refresh the randomization scale, evaluate
 the population, sort it by fitness, reconcile the best-so-far, then sweep
 attraction moves (each firefly moves toward every strictly brighter peer).
-Minimization convention throughout; light intensity is the negated fitness.
+Minimization convention throughout: the brightest firefly has the lowest fitness.
 
 Distances that feed the attractiveness kernel are measured in normalized
 coordinates (each dimension mapped to unit width), so the absorption
@@ -28,6 +28,10 @@ from .randomization import ScheduleDescriptor, alpha_at, gaussian_step, uniform_
 _EPSILON_STEPS = {"gaussian": gaussian_step, "uniform_centered": uniform_centered_step}
 EPSILON_KINDS = tuple(_EPSILON_STEPS)
 UPDATE_SCHEMES = ("asynchronous", "synchronous")
+# pop * dim from which pairwise_sweep batches its moves across rows
+# (_sweep_rows); below it the per-step numpy overhead outweighs the Python
+# float operations it saves.  Measured crossover: see the README.
+ROW_SWEEP_MIN_CELLS = 200
 
 
 class EvaluationError(RuntimeError):
@@ -36,14 +40,13 @@ class EvaluationError(RuntimeError):
 
 @dataclass
 class Firefly:
-    """One candidate solution: a position, its fitness, and its brightness."""
+    """One candidate solution: a position and its fitness."""
 
     position: np.ndarray
     fitness: float = math.nan
-    intensity: float = math.nan
 
     def copy(self) -> "Firefly":
-        return Firefly(self.position.copy(), self.fitness, self.intensity)
+        return Firefly(self.position.copy(), self.fitness)
 
 
 @dataclass(frozen=True)
@@ -189,16 +192,12 @@ def distance(si: Sequence[float], sj: Sequence[float]) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def fitness_to_intensity(fitness: float) -> float:
-    """Brightness of a solution: lower fitness shines brighter."""
-    return -fitness
-
-
-def _draw_eps_rows(rng, rows, dim, kind, eps_fn):
+def _draw_eps_rows(rng, rows, dim, kind, eps_fn) -> np.ndarray:
+    """(rows, dim) random steps from eps_fn or the epsilon_kind source, in one draw."""
     if rows == 0:
-        return []
+        return np.empty((0, dim))
     draw = _EPSILON_STEPS[kind] if eps_fn is None else eps_fn
-    return np.asarray(draw(rng, rows * dim), dtype=float).reshape(rows, dim).tolist()
+    return np.asarray(draw(rng, rows * dim), dtype=float).reshape(rows, dim)
 
 
 def checked_eval(objective: Objective, position: np.ndarray) -> float:
@@ -228,7 +227,7 @@ def move_firefly(
     diff = sj.position - si.position
     nd = diff / w
     beta = params.beta0 * math.exp(-params.gamma * float(nd @ nd))
-    eps = np.asarray(_draw_eps_rows(rng, 1, si.position.size, params.epsilon_kind, None)[0])
+    eps = _draw_eps_rows(rng, 1, si.position.size, params.epsilon_kind, None)[0]
     return si.position + beta * diff + params.alpha * eps * w
 
 
@@ -245,7 +244,7 @@ def initialize(objective: Objective, params: FaParams, seed) -> SwarmState:
 
 
 def evaluate(state: SwarmState, objective: Objective, params: FaParams) -> SwarmState:
-    """Refresh fitness and intensity, spending at most the remaining budget.
+    """Refresh fitness, spending at most the remaining budget.
 
     When fewer evaluations remain than fireflies, only the leading part of
     the population is refreshed and the budget is exhausted, which ends
@@ -256,7 +255,6 @@ def evaluate(state: SwarmState, objective: Objective, params: FaParams) -> Swarm
     for fly in state.fireflies[:n]:
         value = checked_eval(objective, fly.position)
         fly.fitness = value
-        fly.intensity = fitness_to_intensity(value)
         if state.best is None or value < state.best.fitness:
             state.best = fly.copy()
     state.fes_used += n
@@ -300,9 +298,25 @@ def pairwise_sweep(
     unless elitism is on, in which case it holds position.
 
     eps_fn overrides the random-step source (signature: rng, n -> vector);
-    by default steps follow params.epsilon_kind.  The inner loops run on
-    plain Python floats: this is the hot path of every run.
+    by default steps follow params.epsilon_kind.
+
+    Two implementations give the same positions and leave the random
+    stream in the same state, bit for bit: _sweep_scalar runs the moves on
+    plain Python floats, one firefly at a time; _sweep_rows makes the same
+    moves in the same per-element order but batches each step across rows
+    with numpy.  The row path is taken when pop * dim reaches
+    ROW_SWEEP_MIN_CELLS.  Below that its per-step numpy overhead costs more
+    than it saves, so the scalar loop stays for small shapes (the paper-scale
+    ones) and serves as the row path's oracle in the tests.
     """
+    if len(state.fireflies) * objective.dim >= ROW_SWEEP_MIN_CELLS:
+        _sweep_rows(state, objective, params, alpha_t, eps_fn)
+    else:
+        _sweep_scalar(state, objective, params, alpha_t, eps_fn)
+
+
+def _sweep_scalar(state, objective, params, alpha_t, eps_fn) -> None:
+    """pairwise_sweep on plain Python floats: the hot path at small shapes."""
     flies = state.fireflies
     pop = len(flies)
     dim = objective.dim
@@ -316,7 +330,7 @@ def pairwise_sweep(
     # the prefix before its tie group.
     counts = [bisect_left(fit, fit[i]) for i in range(pop)]
     walkers = 0 if params.elitism else sum(1 for c in counts if c == 0)
-    eps = _draw_eps_rows(state.rng, sum(counts) + walkers, dim, params.epsilon_kind, eps_fn)
+    eps = _draw_eps_rows(state.rng, sum(counts) + walkers, dim, params.epsilon_kind, eps_fn).tolist()
 
     pos = [f.position.tolist() for f in flies]
     synchronous = params.update_scheme == "synchronous"
@@ -389,6 +403,68 @@ def pairwise_sweep(
 
     for fly, row in zip(flies, pos):
         fly.position = np.asarray(row, dtype=float)
+
+
+def _sweep_rows(state, objective, params, alpha_t, eps_fn) -> None:
+    """pairwise_sweep batched across rows, bit for bit equal to _sweep_scalar.
+
+    After sorting, the count c_i of strictly brighter peers is
+    non-decreasing in i and c_i <= i, so row t is final once it has made its
+    c_t moves.  The asynchronous sweep is therefore a wavefront: at step t
+    every row with c_i > t (a suffix of the population) moves toward row t
+    at once.  The synchronous sweep adds term j for every such row into an
+    accumulator over the snapshot, in the same j order.  Each element sees
+    the scalar loop's operations in the scalar loop's order: the random
+    steps come from one draw, row (i, t) at the scalar loop's draw offset of
+    i plus t; r^2 is summed in order along d; exp is math.exp, which
+    np.exp does not match to the last ulp.
+    """
+    flies = state.fireflies
+    dim = objective.dim
+    lo = objective.lower
+    hi = objective.upper
+    width = hi - lo
+    inv_w = 1.0 / width
+    aw = alpha_t * width
+    neg_gamma = -params.gamma
+    beta0 = params.beta0
+    pos = np.array([f.position for f in flies], dtype=float)
+    fit = np.array([f.fitness for f in flies], dtype=float)
+    counts = np.searchsorted(fit, fit, side="left")
+    # rows before `first` have no brighter peer; starts[t] is the first row
+    # with more than t of them
+    first = int(np.searchsorted(counts, 0, side="right"))
+    starts = np.searchsorted(counts, np.arange(counts[-1]), side="right").tolist()
+    draws = np.where(counts == 0, 0 if params.elitism else 1, counts)
+    offsets = np.cumsum(draws) - draws
+    eps = _draw_eps_rows(state.rng, int(draws.sum()), dim, params.epsilon_kind, eps_fn)
+
+    def clamp(v):
+        return np.where(v < lo, lo, np.where(v > hi, hi, v))
+
+    def attraction(target, rows):
+        # beta * (target - rows) per row, as the scalar loop computes it
+        diff = target - rows
+        nd = diff * inv_w
+        r2 = np.add.accumulate(nd * nd, axis=1)[:, -1]
+        beta = beta0 * np.fromiter(map(math.exp, (neg_gamma * r2).tolist()), float, len(r2))
+        return beta[:, None] * diff
+
+    synchronous = params.update_scheme == "synchronous"
+    if synchronous:
+        acc = np.zeros((len(flies) - first, dim))
+        for j, s in enumerate(starts):
+            acc[s - first :] += attraction(pos[j], pos[s:]) + aw * eps[offsets[s:] + j]
+        pos[first:] = clamp(pos[first:] + acc)
+    # a walker reads only its own row, which the synchronous update leaves alone
+    if not params.elitism:
+        pos[:first] = clamp(pos[:first] + aw * eps[offsets[:first]])
+    if not synchronous:
+        for t, s in enumerate(starts):
+            pos[s:] = clamp((pos[s:] + attraction(pos[t], pos[s:])) + aw * eps[offsets[s:] + t])
+
+    for fly, row in zip(flies, pos):
+        fly.position = row
 
 
 def step(

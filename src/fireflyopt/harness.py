@@ -101,6 +101,8 @@ class ExperimentConfig:
         self.params  # validates the run parameters
 
         if self.variant == "multiswarm":
+            if self.num_swarms < 1:
+                raise ValueError(f"malformed value for 'num_swarms': must be >= 1, got {self.num_swarms}")
             if self.swarm_size is None:
                 if self.pop_size % self.num_swarms != 0:
                     raise ValueError(

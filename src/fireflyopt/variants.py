@@ -20,7 +20,6 @@ from .core import (
     Objective,
     SwarmState,
     checked_eval,
-    fitness_to_intensity,
     initialize,
     step,
 )
@@ -137,7 +136,6 @@ def elitist_best_move(
     if winner_pos is not None:
         best.position = winner_pos
         best.fitness = winner_fit
-        best.intensity = fitness_to_intensity(winner_fit)
         if state.best is None or winner_fit < state.best.fitness:
             state.best = best.copy()
     return state
@@ -216,7 +214,6 @@ def _rerandomize(swarm: SwarmState, objective: Objective) -> None:
     for fly, row in zip(swarm.fireflies, pos):
         fly.position = row.copy()
         fly.fitness = math.nan
-        fly.intensity = math.nan
     swarm.best = None
 
 
@@ -287,7 +284,6 @@ def multiswarm_step(
         for swarm in swarms:
             for fly in swarm.fireflies:
                 fly.fitness = checked_eval(objective, fly.position)
-                fly.intensity = fitness_to_intensity(fly.fitness)
             swarm.fes_used += len(swarm.fireflies)
             swarm.best = min(swarm.fireflies, key=lambda f: f.fitness).copy()
         # re-baseline the probes after the invalidation pass, so the

@@ -67,8 +67,8 @@ def test_criterion_1_equation_suite():
     frozen = FaParams(alpha=0.0, beta0=0.0, pop_size=2, max_fes=2)
     for _ in range(100):
         a, b = rng.uniform(-5, 5, (2, 3))
-        si = Firefly(a.copy(), 2.0, -2.0)
-        sj = Firefly(b.copy(), 1.0, -1.0)
+        si = Firefly(a.copy(), 2.0)
+        sj = Firefly(b.copy(), 1.0)
         landed = move_firefly(si, sj, full, np.full(3, 10.0), rng)
         ok &= float(np.max(np.abs(landed - b))) < 1e-12
         stayed = move_firefly(si, sj, frozen, np.full(3, 10.0), rng)

@@ -1,10 +1,12 @@
 """Equation kernels, population machinery, and the generational loop."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from fireflyopt import core
 from fireflyopt import (
     EvaluationError,
     FaParams,
@@ -16,12 +18,13 @@ from fireflyopt import (
     distance,
     evaluate,
     find_best,
-    fitness_to_intensity,
     initialize,
     intensity_at,
+    levy_step,
     lookup,
     move_firefly,
     order,
+    pairwise_sweep,
     run,
     step,
 )
@@ -98,27 +101,21 @@ def test_distance():
         distance((1.0, 2.0), (1.0, 2.0, 3.0))
 
 
-def test_fitness_to_intensity():
-    assert fitness_to_intensity(0.0) == 0.0
-    assert fitness_to_intensity(-3.5) == 3.5
-    assert fitness_to_intensity(1.0) > fitness_to_intensity(2.0)
-
-
 # ------------------------------------------------------------ move_firefly
 
 
 def test_move_zero_attraction_zero_noise_is_identity():
     params = FaParams(alpha=0.0, beta0=0.0, pop_size=2, max_fes=2)
-    si = Firefly(np.array([0.3, 0.4]), fitness=2.0, intensity=-2.0)
-    sj = Firefly(np.array([0.9, 0.1]), fitness=1.0, intensity=-1.0)
+    si = Firefly(np.array([0.3, 0.4]), fitness=2.0)
+    sj = Firefly(np.array([0.9, 0.1]), fitness=1.0)
     out = move_firefly(si, sj, params, np.ones(2), np.random.default_rng(0))
     assert np.array_equal(out, si.position)
 
 
 def test_move_full_attraction_lands_on_target():
     params = FaParams(alpha=0.0, beta0=1.0, gamma=0.0, pop_size=2, max_fes=2)
-    si = Firefly(np.array([0.0, 0.0]), fitness=2.0, intensity=-2.0)
-    sj = Firefly(np.array([1.0, 2.0]), fitness=1.0, intensity=-1.0)
+    si = Firefly(np.array([0.0, 0.0]), fitness=2.0)
+    sj = Firefly(np.array([1.0, 2.0]), fitness=1.0)
     out = move_firefly(si, sj, params, np.ones(2), np.random.default_rng(0))
     assert np.array_equal(out, sj.position)
 
@@ -126,16 +123,16 @@ def test_move_full_attraction_lands_on_target():
 def test_move_extreme_absorption_stays_put():
     # unit domain widths, so the normalized separation is exactly 1
     params = FaParams(alpha=0.0, beta0=1.0, gamma=1e6, pop_size=2, max_fes=2)
-    si = Firefly(np.array([0.0, 0.0]), fitness=2.0, intensity=-2.0)
-    sj = Firefly(np.array([0.6, 0.8]), fitness=1.0, intensity=-1.0)
+    si = Firefly(np.array([0.0, 0.0]), fitness=2.0)
+    sj = Firefly(np.array([0.6, 0.8]), fitness=1.0)
     out = move_firefly(si, sj, params, np.ones(2), np.random.default_rng(0))
     assert np.all(np.abs(out - si.position) < 1e-6)
 
 
 def test_move_dimension_mismatch():
     params = FaParams(pop_size=2, max_fes=2)
-    si = Firefly(np.zeros(2), 1.0, -1.0)
-    sj = Firefly(np.zeros(3), 0.0, 0.0)
+    si = Firefly(np.zeros(2), 1.0)
+    sj = Firefly(np.zeros(3), 0.0)
     with pytest.raises(ValueError):
         move_firefly(si, sj, params, np.ones(2), np.random.default_rng(0))
 
@@ -197,7 +194,7 @@ def test_initialize_in_bounds_and_unset_fitness():
     state = initialize(obj, FaParams(pop_size=50, max_fes=100), 7)
     for fly in state.fireflies:
         assert np.all(fly.position >= obj.lower) and np.all(fly.position <= obj.upper)
-        assert math.isnan(fly.fitness) and math.isnan(fly.intensity)
+        assert math.isnan(fly.fitness)
 
 
 def test_initialize_uniform_sample_mean():
@@ -262,7 +259,7 @@ def test_evaluate_nan_aborts_with_position():
 
 
 def _state_with_fitness(values):
-    flies = [Firefly(np.array([float(i), 0.0]), float(v), -float(v)) for i, v in enumerate(values)]
+    flies = [Firefly(np.array([float(i), 0.0]), float(v)) for i, v in enumerate(values)]
     return SwarmState(fireflies=flies, t=0, fes_used=0, best=None, rng=np.random.default_rng(0))
 
 
@@ -294,7 +291,7 @@ def test_find_best_picks_minimum_and_retains_history():
     best = find_best(state)
     assert best.fitness == 1.0
     assert state.best.fitness == 1.0
-    state.best = Firefly(np.zeros(2), 4.0, -4.0)
+    state.best = Firefly(np.zeros(2), 4.0)
     for fly in state.fireflies:
         fly.fitness += 4.0  # current generation best becomes 5.0
     find_best(state)
@@ -391,6 +388,88 @@ def test_bounds_closure_under_large_noise():
         step(state, obj, params)
         for fly in state.fireflies:
             assert np.all(fly.position >= obj.lower) and np.all(fly.position <= obj.upper)
+
+
+# ------------------------------------------------------------ sweep paths
+
+
+def _sweep_state(pop, dim, seed, fitness=None):
+    """Sorted swarm on rastrigin; fitness, when given, forces tie groups."""
+    obj = lookup("rastrigin", dim)
+    params = FaParams(pop_size=pop, max_fes=10 * pop)
+    state = evaluate(initialize(obj, params, seed), obj, params)
+    if fitness is not None:
+        for fly, value in zip(state.fireflies, fitness):
+            fly.fitness = float(value)
+    return obj, order(state)
+
+
+def _sweep_bytes(state):
+    return [fly.position.tobytes() for fly in state.fireflies], state.rng.bit_generator.state
+
+
+def _assert_paths_agree(state, obj, params, alpha_t=0.3, eps_fn=None, generations=2):
+    scalar, rows = state, copy.deepcopy(state)
+    for _ in range(generations):
+        core._sweep_scalar(scalar, obj, params, alpha_t, eps_fn)
+        core._sweep_rows(rows, obj, params, alpha_t, eps_fn)
+        assert _sweep_bytes(rows) == _sweep_bytes(scalar)
+        for s in (scalar, rows):
+            for fly in s.fireflies:
+                fly.fitness = obj.eval(fly.position)
+            order(s)
+
+
+SCHEMES = ("asynchronous", "synchronous")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("elitism", [False, True])
+@pytest.mark.parametrize("pop, dim", [(1, 5), (1, 300), (7, 3), (25, 5), (40, 5), (50, 10), (200, 50)])
+def test_row_sweep_matches_scalar_oracle(pop, dim, scheme, elitism):
+    obj, state = _sweep_state(pop, dim, seed=pop + dim)
+    params = FaParams(gamma=5.0, pop_size=pop, max_fes=10 * pop, update_scheme=scheme, elitism=elitism)
+    _assert_paths_agree(state, obj, params)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize(
+    "gamma, beta0, kind", [(0.0, 0.4, "gaussian"), (1.0, 1.0, "uniform_centered"), (50.0, 1.0, "gaussian")]
+)
+def test_row_sweep_matches_scalar_oracle_across_params(scheme, gamma, beta0, kind):
+    obj, state = _sweep_state(30, 8, seed=3)
+    params = FaParams(gamma=gamma, beta0=beta0, pop_size=30, max_fes=300, update_scheme=scheme, epsilon_kind=kind)
+    _assert_paths_agree(state, obj, params)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_row_sweep_matches_scalar_oracle_with_levy_steps(scheme):
+    obj, state = _sweep_state(50, 10, seed=5)
+    params = FaParams(pop_size=50, max_fes=500, update_scheme=scheme)
+    _assert_paths_agree(state, obj, params, eps_fn=lambda rng, n: levy_step(rng, n, 1.5))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("elitism", [False, True])
+@pytest.mark.parametrize(
+    "fitness",
+    [[i // 3 for i in range(40)], [0.0] * 3 + [1.0] * 30 + [2.0] * 7, [0.0] * 40],
+    ids=["groups_of_3", "uneven_groups", "all_walkers"],
+)
+def test_row_sweep_matches_scalar_oracle_with_ties(fitness, scheme, elitism):
+    obj, state = _sweep_state(40, 6, seed=9, fitness=fitness)
+    params = FaParams(pop_size=40, max_fes=400, update_scheme=scheme, elitism=elitism)
+    _assert_paths_agree(state, obj, params, generations=1)
+
+
+@pytest.mark.parametrize("pop, dim", [(1, core.ROW_SWEEP_MIN_CELLS), (20, core.ROW_SWEEP_MIN_CELLS // 20 - 1)])
+def test_pairwise_sweep_dispatches_on_row_sweep_min_cells(pop, dim, monkeypatch):
+    taken = []
+    monkeypatch.setattr(core, "_sweep_rows", lambda *args: taken.append("rows"))
+    monkeypatch.setattr(core, "_sweep_scalar", lambda *args: taken.append("scalar"))
+    obj, state = _sweep_state(pop, dim, seed=0)
+    pairwise_sweep(state, obj, FaParams(pop_size=pop, max_fes=10 * pop), 0.1)
+    assert taken == ["rows" if pop * dim >= core.ROW_SWEEP_MIN_CELLS else "scalar"]
 
 
 # -------------------------------------------------------------------- run

@@ -30,6 +30,16 @@ pop_size: 10
 max_fes: 600
 """
 
+ABOVE_CROSSOVER = """\
+benchmark: rastrigin
+variant: {variant}
+repetitions: 2
+base_seed: 11
+dim: 10
+pop_size: 40
+max_fes: 400
+"""
+
 MULTISWARM = "num_swarms: 2\n"
 
 CONFIGS = {
@@ -56,6 +66,16 @@ CONFIGS = {
     + "update_scheme: synchronous\n",
     "four_peaks_base": SMALL.format(benchmark="four_peaks", variant="base"),
     "rastrigin_base_d3": SMALL.format(benchmark="rastrigin", variant="base").replace("dim: 2", "dim: 3"),
+    # pop * dim above core.ROW_SWEEP_MIN_CELLS: these pin the row-parallel sweep
+    **{
+        f"rastrigin_{name}_d10_pop40": ABOVE_CROSSOVER.format(variant=variant) + extra
+        for name, variant, extra in (
+            ("base", "base", ""),
+            ("base_synchronous", "base", "update_scheme: synchronous\n"),
+            ("elitist", "elitist", ""),
+            ("levy", "levy", ""),
+        )
+    },
     "moving_peaks_multiswarm": """\
 benchmark: moving_peaks
 variant: multiswarm

@@ -160,6 +160,13 @@ def test_parse_multiswarm_layout():
         parse_config(MINIMAL.replace("variant: base", "variant: multiswarm") + "pop_size: 25\nnum_swarms: 4\n")
 
 
+@pytest.mark.parametrize("num_swarms", [0, -2])
+def test_parse_rejects_non_positive_num_swarms(num_swarms):
+    doc = MINIMAL.replace("variant: base", "variant: multiswarm") + f"num_swarms: {num_swarms}\n"
+    with pytest.raises(ValueError, match="num_swarms"):
+        parse_config(doc)
+
+
 def test_parse_rejects_non_mapping():
     with pytest.raises(ValueError):
         parse_config("- a\n- b\n")
@@ -288,9 +295,9 @@ def test_median_curve_uses_common_generation_prefix(tmp_path):
     config = small_config()
     reports = [
         fo.RunReport(trace=[(0, 10, 5.0), (1, 20, 4.0), (2, 30, 3.0)],
-                     final_best=fo.Firefly(np.zeros(2), 3.0, -3.0), fes_total=30, seed=7),
+                     final_best=fo.Firefly(np.zeros(2), 3.0), fes_total=30, seed=7),
         fo.RunReport(trace=[(0, 10, 7.0), (1, 20, 6.0)],
-                     final_best=fo.Firefly(np.zeros(2), 6.0, -6.0), fes_total=20, seed=8),
+                     final_best=fo.Firefly(np.zeros(2), 6.0), fes_total=20, seed=8),
     ]
     stats, _ = run_experiment(config)
     emit_results(stats, reports[:2], config, tmp_path)

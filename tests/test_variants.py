@@ -58,7 +58,6 @@ def test_elitist_move_at_exact_optimum_stays():
     state = evaluated_state(obj, params, 1)
     state.fireflies[0].position = np.zeros(2)
     state.fireflies[0].fitness = 0.0
-    state.fireflies[0].intensity = 0.0
     elitist_best_move(state, 5, params, obj, alpha=0.1)
     assert np.array_equal(state.fireflies[0].position, np.zeros(2))
     assert state.fes_used == 3 + 5
