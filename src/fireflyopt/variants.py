@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     FaParams,
+    Firefly,
     Objective,
     SwarmState,
     checked_eval,
@@ -198,15 +199,41 @@ def _normalized(position: np.ndarray, objective: Objective) -> np.ndarray:
     return (position - objective.lower) / objective.width
 
 
+def _pair_distances(positions: list[Optional[np.ndarray]], objective: Objective) -> np.ndarray:
+    """(k, k) normalized distances between positions; a None position gives NaNs.
+
+    Entry (i, j) equals float(np.linalg.norm(p_i - p_j)) on the normalized
+    points bit for bit: the stacked matmul reduces each difference row with
+    the same dot product that norm uses, where einsum and (v * v).sum(-1)
+    round differently.
+    """
+    rows = [np.full(objective.dim, math.nan) if p is None else p for p in positions]
+    pts = _normalized(np.array(rows).reshape(len(rows), objective.dim), objective)
+    v = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def _swarm_diameter(swarm: SwarmState, objective: Objective) -> float:
-    pts = [_normalized(f.position, objective) for f in swarm.fireflies]
-    diameter = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = float(np.linalg.norm(pts[i] - pts[j]))
-            if d > diameter:
-                diameter = d
-    return diameter
+    return float(_pair_distances([f.position for f in swarm.fireflies], objective).max())
+
+
+def _exclusion_victims(bests: list[Optional[Firefly]], objective: Objective, radius: float) -> set[int]:
+    """Indices of the swarms to re-randomize, pairs taken in (i, j) order.
+
+    Of two swarms whose bests lie within radius of each other the worse one
+    (j on a fitness tie) is chosen; a swarm already chosen or without a
+    best takes part in no further pair.
+    """
+    gaps = _pair_distances([None if b is None else b.position for b in bests], objective).tolist()
+    victims: set[int] = set()
+    for i in range(len(bests)):
+        for j in range(i + 1, len(bests)):
+            bi, bj = bests[i], bests[j]
+            if bi is None or bj is None or i in victims or j in victims:
+                continue
+            if gaps[i][j] < radius:
+                victims.add(j if bj.fitness >= bi.fitness else i)
+    return victims
 
 
 def _rerandomize(swarm: SwarmState, objective: Objective) -> None:
@@ -272,9 +299,10 @@ def multiswarm_step(
     once every swarm has collapsed below the anticonvergence_radius
     diameter.
     """
+    streams = [swarm.rng.bit_generator.state for swarm in swarms]
     for i in range(len(swarms)):
         for j in range(i + 1, len(swarms)):
-            if swarms[i].rng.bit_generator.state == swarms[j].rng.bit_generator.state:
+            if streams[i] == streams[j]:
                 raise ValueError(f"swarms {i} and {j} share an identical random stream")
 
     fresh = _probe_sentinels(sentinels, swarms, objective)
@@ -299,23 +327,16 @@ def multiswarm_step(
             step(swarm, objective, swarm_params)
 
     # Exclusion: the better of an overlapping pair keeps its ground.
-    victims: set[int] = set()
-    for i in range(len(swarms)):
-        for j in range(i + 1, len(swarms)):
-            bi, bj = swarms[i].best, swarms[j].best
-            if bi is None or bj is None or i in victims or j in victims:
-                continue
-            gap = float(np.linalg.norm(_normalized(bi.position, objective) - _normalized(bj.position, objective)))
-            if gap < config.exclusion_radius:
-                victims.add(j if bj.fitness >= bi.fitness else i)
+    bests = [s.best for s in swarms]
+    victims = _exclusion_victims(bests, objective, config.exclusion_radius)
     for idx in victims:
         _rerandomize(swarms[idx], objective)
         if log is not None:
             log.append({"event": "exclusion", "swarm": idx})
 
-    # Anti-convergence: when everything has collapsed, re-diversify the worst.
+    # Anti-convergence: when everything has collapsed, re-diversify the worst
+    # (only when no swarm was re-randomized above, so bests is still current).
     if len(swarms) > 1 and not victims:
-        bests = [s.best for s in swarms]
         if all(b is not None for b in bests) and all(
             _swarm_diameter(s, objective) < config.anticonvergence_radius for s in swarms
         ):

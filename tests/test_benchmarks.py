@@ -155,6 +155,32 @@ def test_moving_peaks_deterministic():
     assert a.change_hook.shift_log == b.change_hook.shift_log
 
 
+def _norm_formula_value(state, x):
+    """MovingPeaks.value written with np.linalg.norm(axis=1) and np.max."""
+    x = np.asarray(x, dtype=float)
+    d = np.linalg.norm(state.centers - x, axis=1)
+    out = float(-np.max(state.heights - state.widths * d))
+    state.evals += 1
+    if state.shift_interval is not None and state.evals % state.shift_interval == 0:
+        state._shift()
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 5, 30])
+def test_moving_peaks_value_matches_norm_formula(dim):
+    obj = make_moving_peaks(peak_count=5, dim=dim, shift_interval=300, seed=dim)
+    twin = make_moving_peaks(peak_count=5, dim=dim, shift_interval=300, seed=dim).change_hook
+    rng = np.random.default_rng(100 + dim)
+    xs = np.concatenate([rng.uniform(0.0, 100.0, size=(995, dim)), obj.change_hook.centers.copy()])
+    got = np.array([obj.eval(x) for x in xs])
+    want = np.array([_norm_formula_value(twin, x) for x in xs])
+    assert got.tobytes() == want.tobytes()
+    state = obj.change_hook
+    assert state.evals == twin.evals == 1000
+    assert state.shift_log == twin.shift_log == [300, 600, 900]
+    assert state.centers.tobytes() == twin.centers.tobytes()
+
+
 def test_moving_peaks_validation():
     with pytest.raises(ValueError):
         make_moving_peaks(peak_count=2, widths=np.array([1.0, 0.0]), seed=0)

@@ -88,6 +88,19 @@ sentinel_count: 2
 shift_interval: 150
 max_fes: 900
 """,
+    # swarms of 8 x 5: exclusion, anti-convergence and change events all fire
+    "moving_peaks_multiswarm_d5_pop40": """\
+benchmark: moving_peaks
+variant: multiswarm
+repetitions: 2
+base_seed: 11
+dim: 5
+pop_size: 40
+num_swarms: 5
+sentinel_count: 3
+shift_interval: 1000
+max_fes: 6000
+""",
 }
 
 

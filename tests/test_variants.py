@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reduction_oracles import oracle_positions
 
 from fireflyopt import (
     EvaluationError,
     FaParams,
+    Firefly,
     MultiSwarmConfig,
     Objective,
     PenaltySpec,
     ScheduleDescriptor,
+    SwarmState,
     elitist_best_move,
     evaluate,
     find_best,
@@ -28,6 +32,7 @@ from fireflyopt import (
     reduction_mode,
     step,
 )
+from fireflyopt.variants import _exclusion_victims, _pair_distances, _swarm_diameter
 
 
 def evaluated_state(objective, params, seed):
@@ -298,6 +303,53 @@ def test_multiswarm_bests_separated_after_step():
             for j in range(i + 1, len(bests)):
                 gap = np.linalg.norm((bests[i].position - bests[j].position) / width)
                 assert gap >= config.exclusion_radius
+
+
+def _norm_loop_victims(bests, objective, radius):
+    """The exclusion loop as written with one np.linalg.norm call per pair."""
+    victims = set()
+    for i in range(len(bests)):
+        for j in range(i + 1, len(bests)):
+            bi, bj = bests[i], bests[j]
+            if bi is None or bj is None or i in victims or j in victims:
+                continue
+            gap = float(np.linalg.norm((bi.position - objective.lower) / objective.width
+                                       - (bj.position - objective.lower) / objective.width))
+            if gap < radius:
+                victims.add(j if bj.fitness >= bi.fitness else i)
+    return victims
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 8, 40]),
+    dim=st.sampled_from([1, 2, 5, 30]),
+    scale_exp=st.integers(-9, 0),
+    duplicates=st.integers(0, 3),
+    none_share=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_distances_match_per_pair_norm(k, dim, scale_exp, duplicates, none_share, seed):
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-100.0, 0.0, dim)
+    obj = Objective(dim=dim, lower=lower, upper=lower + rng.uniform(0.5, 200.0, dim), eval=lambda x: 0.0)
+    center = rng.uniform(obj.lower, obj.upper)
+    positions = center + 10.0**scale_exp * obj.width * rng.standard_normal((k, dim))
+    for _ in range(duplicates):
+        positions[rng.integers(k)] = positions[rng.integers(k)]
+    pts = [(p - obj.lower) / obj.width for p in positions]
+    oracle = np.array([[float(np.linalg.norm(pts[i] - pts[j])) for j in range(k)] for i in range(k)])
+
+    dist = _pair_distances(list(positions), obj)
+    assert dist.shape == (k, k)
+    assert dist.tobytes() == oracle.tobytes()
+    swarm = SwarmState(fireflies=[Firefly(p) for p in positions], t=0, fes_used=0, best=None, rng=rng)
+    assert _swarm_diameter(swarm, obj) == max(max(row) for row in oracle.tolist())
+
+    # fitness ties exercise the >= in the victim choice; radii sit on pair gaps
+    bests = [None if rng.random() < none_share else Firefly(p, float(rng.integers(3))) for p in positions]
+    for radius in (oracle[rng.integers(k), rng.integers(k)], float(np.median(oracle)), 0.5):
+        assert _exclusion_victims(bests, obj, radius) == _norm_loop_victims(bests, obj, radius)
 
 
 # ------------------------------------------------------- checked evaluation
