@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Objective
+from .core import _ROW_TWINS, Objective
 
 
 def sphere(x: np.ndarray) -> float:
@@ -38,6 +38,17 @@ def griewank(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     k = np.arange(1, x.size + 1, dtype=float)
     return float(1.0 + np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(k))))
+
+
+# sphere's row twin (core._ROW_TWINS): the same numpy sum over d for each
+# row, so the same bits.  Another objective gets a twin when a benchmark
+# workload evaluates it enough to show the gain; four_peaks (math.exp) and
+# moving peaks (shifts at exact evaluation counts) cannot have one.
+def _sphere_rows(x: np.ndarray) -> np.ndarray:
+    return np.sum(x * x, axis=1)
+
+
+_ROW_TWINS.append((sphere, _sphere_rows))
 
 
 def four_peaks(x: np.ndarray) -> float:

@@ -200,12 +200,38 @@ def _draw_eps_rows(rng, rows, dim, kind, eps_fn) -> np.ndarray:
     return np.asarray(draw(rng, rows * dim), dtype=float).reshape(rows, dim)
 
 
+def _non_finite(value: float, position: np.ndarray) -> EvaluationError:
+    return EvaluationError(f"objective returned {value} at position {position.tolist()}")
+
+
 def checked_eval(objective: Objective, position: np.ndarray) -> float:
     """objective.eval at position as a float; NaN or +-inf raises EvaluationError."""
     value = float(objective.eval(position))
     if not math.isfinite(value):
-        raise EvaluationError(f"objective returned {value} at position {position.tolist()}")
+        raise _non_finite(value, position)
     return value
+
+
+# Row twins as (scalar function, twin) pairs, registered by benchmarks.py:
+# a twin evaluates an (n, d) array of points in one call and gives, row for
+# row, the bits of its function.  evaluate matches objective.eval by
+# identity, so any wrapper of a registered function (a penalty closure, a
+# tracing wrapper, a functools.wraps copy) keeps the per-point path and
+# every call goes through the wrapper.
+_ROW_TWINS: list[tuple[Callable, Callable]] = []
+
+
+def _row_twin(fn: Callable) -> Optional[Callable]:
+    return next((rows for f, rows in _ROW_TWINS if f is fn), None)
+
+
+def _checked_rows(rows: Callable, flies: list[Firefly], dim: int) -> list[float]:
+    """Fitness of every firefly from one call of a row twin, checked as checked_eval checks."""
+    values = rows(np.array([fly.position for fly in flies], dtype=float).reshape(len(flies), dim)).tolist()
+    if not all(map(math.isfinite, values)):
+        fly, value = next((f, v) for f, v in zip(flies, values) if not math.isfinite(v))
+        raise _non_finite(value, fly.position)
+    return values
 
 
 def move_firefly(
@@ -249,11 +275,21 @@ def evaluate(state: SwarmState, objective: Objective, params: FaParams) -> Swarm
     When fewer evaluations remain than fireflies, only the leading part of
     the population is refreshed and the budget is exhausted, which ends
     the run.
+
+    When objective.eval is a function with a registered row twin (see
+    _ROW_TWINS), the refreshed positions are stacked and evaluated in one
+    call; otherwise each is a checked_eval call.  Both give the same
+    values, best-so-far and errors.
     """
     remaining = params.max_fes - state.fes_used
     n = min(len(state.fireflies), remaining)
-    for fly in state.fireflies[:n]:
-        value = checked_eval(objective, fly.position)
+    flies = state.fireflies[:n]
+    rows = _row_twin(objective.eval)
+    if rows is None:
+        values = [checked_eval(objective, fly.position) for fly in flies]
+    else:
+        values = _checked_rows(rows, flies, objective.dim)
+    for fly, value in zip(flies, values):
         fly.fitness = value
         if state.best is None or value < state.best.fitness:
             state.best = fly.copy()

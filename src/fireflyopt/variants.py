@@ -153,23 +153,26 @@ def global_best_pull_step(
     Update: s_i + beta0 * exp(-gamma * r^2) * (g - s_i) + alpha * eps * width,
     with r the normalized distance to the best-so-far g.  With gamma = 0
     this is the accelerated-particle-swarm special case.
+
+    All fireflies move at once as (n, d) array operations; r^2 stays one
+    dot product per row and beta one math.exp per row, which keeps every
+    bit of the per-firefly formula (einsum, sum(axis=1) and np.exp do not).
     """
     if state.best is None:
         raise ValueError("population must be evaluated before a pull step")
     if alpha is None:
         alpha = alpha_at(params.alpha_schedule, state.t)
-    g = state.best.position
-    lo = objective.lower
-    hi = objective.upper
+    flies = state.fireflies
     w = objective.width
-    eps = state.rng.standard_normal((len(state.fireflies), objective.dim))
-    for fly, ek in zip(state.fireflies, eps):
-        diff = g - fly.position
-        nd = diff / w
-        beta = params.beta0 * math.exp(-params.gamma * float(nd @ nd))
-        pos = fly.position + beta * diff + alpha * ek * w
-        np.clip(pos, lo, hi, out=pos)
-        fly.position = pos
+    eps = state.rng.standard_normal((len(flies), objective.dim))
+    pos = np.array([fly.position for fly in flies])
+    diff = state.best.position - pos
+    nd = diff / w
+    beta = params.beta0 * np.array([math.exp(-params.gamma * float(r @ r)) for r in nd])
+    pos = pos + beta[:, None] * diff + alpha * eps * w
+    np.clip(pos, objective.lower, objective.upper, out=pos)
+    for fly, row in zip(flies, pos):
+        fly.position = row
     return state
 
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fireflyopt import benchmark_names, lookup, make_moving_peaks
+from fireflyopt.core import _row_twin
 
 FOUR_PEAKS_AT_ORIGIN = -2.000000225070375  # -(2 + 2e^-16 + 2e^-32), high-precision arithmetic
 
@@ -188,3 +191,35 @@ def test_moving_peaks_validation():
         make_moving_peaks(peak_count=0, seed=0)
     with pytest.raises(ValueError):
         make_moving_peaks(shift_length=0.0, seed=0)
+
+
+# ------------------------------------------------------------- row twins
+
+BATCHED = ("sphere",)
+
+
+def test_row_twins_cover_exactly_the_batched_objectives():
+    for name in benchmark_names():
+        assert (_row_twin(lookup(name, 2).eval) is not None) == (name in BATCHED)
+    assert _row_twin(make_moving_peaks(seed=0).eval) is None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(BATCHED),
+    n=st.sampled_from([1, 2, 7, 25, 40]),
+    # 8-9 and 128-129 straddle numpy's pairwise-summation block sizes
+    dim=st.one_of(st.sampled_from([1, 2, 8, 9, 16, 17, 128, 129]), st.integers(1, 200)),
+    scale_exp=st.integers(-6, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_twin_matches_per_point_calls(name, n, dim, scale_exp, seed):
+    obj = lookup(name, dim)
+    rng = np.random.default_rng(seed)
+    # inside the box, near the optimum, and far outside it
+    x = obj.known_optimum[0] + 10.0**scale_exp * obj.width * rng.standard_normal((n, dim))
+    got = _row_twin(obj.eval)(x)
+    assert got.shape == (n,)
+    want = [obj.eval(row) for row in x]
+    assert all(type(v) is float for v in got.tolist())
+    assert np.array(got.tolist()).tobytes() == np.array(want).tobytes()

@@ -1,10 +1,14 @@
 """Equation kernels, population machinery, and the generational loop."""
 
+import contextlib
 import copy
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fireflyopt import core
 from fireflyopt import (
@@ -253,6 +257,154 @@ def test_evaluate_nan_aborts_with_position():
     with pytest.raises(EvaluationError) as err:
         evaluate(state, obj, params)
     assert str(state.fireflies[0].position.tolist()) in str(err.value)
+
+
+def _per_point(obj):
+    """obj with its eval wrapped, so evaluate takes the per-point path."""
+    fn = obj.eval
+    return Objective(dim=obj.dim, lower=obj.lower, upper=obj.upper, eval=lambda x: fn(x))
+
+
+def _evaluate_both(obj, pop, remaining, positions, prior_best):
+    """Run evaluate on the batch path and on the per-point path from equal states."""
+    params = FaParams(pop_size=pop, max_fes=pop + remaining)
+    results = []
+    for objective in (obj, _per_point(obj)):
+        state = initialize(objective, params, 0)
+        for fly, row in zip(state.fireflies, positions):
+            fly.position = row.copy()
+        state.fes_used = params.max_fes - remaining
+        state.best = None if prior_best is None else prior_best.copy()
+        try:
+            evaluate(state, objective, params)
+        except EvaluationError as exc:
+            results.append(str(exc))
+        else:
+            results.append(state)
+    return results
+
+
+@contextlib.contextmanager
+def _registered_twin(fn, rows):
+    """fn registered with row twin rows for the duration of the block."""
+    core._ROW_TWINS.append((fn, rows))
+    try:
+        yield
+    finally:
+        core._ROW_TWINS.remove((fn, rows))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    pop=st.integers(1, 30),
+    dim=st.sampled_from([1, 2, 5, 10]),
+    partial=st.booleans(),
+    mirrored=st.integers(0, 5),
+    prior=st.sampled_from([None, "row", "unbeatable"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_batch_path_matches_per_point_path(pop, dim, partial, mirrored, prior, seed):
+    obj = lookup("sphere", dim)
+    assert core._row_twin(obj.eval) is not None
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(obj.lower, obj.upper, size=(pop, dim))
+    # x and -x tie on sphere, so a strict < must keep the first
+    for _ in range(mirrored):
+        positions[rng.integers(pop)] = -positions[rng.integers(pop)]
+    remaining = int(rng.integers(1, pop + 1)) if partial else pop
+    prior_best = None
+    if prior == "row":
+        prior_best = Firefly(positions[rng.integers(pop)].copy(), obj.eval(positions[rng.integers(pop)]))
+    elif prior == "unbeatable":
+        prior_best = Firefly(np.zeros(dim), -math.inf)
+
+    batch, per_point = _evaluate_both(obj, pop, remaining, positions, prior_best)
+    fitness = [[f.fitness for f in s.fireflies] for s in (batch, per_point)]
+    assert np.array(fitness[0]).tobytes() == np.array(fitness[1]).tobytes()
+    assert all(math.isnan(v) for v in fitness[0][remaining:])
+    assert batch.fes_used == per_point.fes_used == pop + remaining
+    assert batch.best.fitness == per_point.best.fitness
+    assert batch.best.position.tobytes() == per_point.best.position.tobytes()
+    assert all(type(v) is float for v in fitness[0])
+
+
+def _poisoned_sphere(cutoff, bad):
+    """Sphere that returns bad at and beyond cutoff, and a row twin doing the same."""
+
+    def fn(x):
+        value = float(np.sum(x * x))
+        return value if value < cutoff else bad
+
+    def rows(x):
+        values = np.sum(x * x, axis=1)
+        return np.where(values < cutoff, values, bad)
+
+    return fn, rows
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    pop=st.integers(1, 25),
+    partial=st.booleans(),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_batch_path_raises_like_per_point_path(bad, pop, partial, share, seed):
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-1.0, 1.0, size=(pop, 3))
+    remaining = int(rng.integers(1, pop + 1)) if partial else pop
+    values = np.sum(positions[:remaining] ** 2, axis=1)
+    cutoff = float(np.quantile(values, 1.0 - share))
+    fn, rows = _poisoned_sphere(cutoff, bad)
+    obj = unit_objective(dim=3, lo=-1.0, hi=1.0, fn=fn)
+    with _registered_twin(fn, rows):
+        batch, per_point = _evaluate_both(obj, pop, remaining, positions, None)
+    # the largest refreshed value always reaches the cutoff, so both raise
+    assert isinstance(batch, str) and batch == per_point
+    first = next(i for i, v in enumerate(values) if v >= cutoff)
+    assert batch == f"objective returned {bad} at position {positions[first].tolist()}"
+
+
+def test_evaluate_takes_the_batch_path_once_per_pass():
+    calls = []
+    fn, rows = _poisoned_sphere(math.inf, math.nan)
+    obj = unit_objective(dim=3, fn=fn)
+    params = FaParams(pop_size=4, max_fes=10)
+    state = initialize(obj, params, 0)
+    with _registered_twin(fn, lambda x: calls.append(x.shape) or rows(x)):
+        for _ in range(3):
+            evaluate(state, obj, params)
+    assert calls == [(4, 3), (4, 3), (2, 3)]
+    assert state.fes_used == 10
+
+
+def test_evaluate_wrappers_of_a_batched_function_keep_the_per_point_path():
+    # functools.wraps copies sphere's attributes; a callable may carry an
+    # unrelated `rows`.  Neither is sphere, so every call goes through it.
+    sphere = lookup("sphere", 3).eval
+    calls = []
+
+    @functools.wraps(sphere)
+    def shifted(x):
+        calls.append(1)
+        return sphere(x) + 1.0
+
+    class WithRows:
+        rows = staticmethod(lambda x: np.zeros(len(x)))
+
+        def __call__(self, x):
+            calls.append(1)
+            return sphere(x) + 1.0
+
+    params = FaParams(pop_size=5, max_fes=5)
+    for fn in (shifted, WithRows()):
+        calls.clear()
+        obj = unit_objective(dim=3, fn=fn)
+        state = initialize(obj, params, 0)
+        evaluate(state, obj, params)
+        assert len(calls) == 5
+        assert [f.fitness for f in state.fireflies] == [sphere(f.position) + 1.0 for f in state.fireflies]
 
 
 # ------------------------------------------------------------ order, best

@@ -1,15 +1,19 @@
 """Experiment harness: config parsing, runs, emitted files, compare table, CLI."""
 
 import json
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fireflyopt import ExperimentConfig, parse_config, run_experiment
+from fireflyopt import ExperimentConfig, Firefly, RunReport, SummaryStats, parse_config, run_experiment
 from fireflyopt.cli import main
-from fireflyopt.harness import compare_variants, emit_results, run_single
+from fireflyopt.harness import _median_columns, compare_variants, emit_results, run_single
 
 MINIMAL = """
 benchmark: sphere
@@ -306,6 +310,82 @@ def test_median_curve_uses_common_generation_prefix(tmp_path):
     assert [float(line.split(",")[2]) for line in lines[1:]] == [6.0, 5.0]
 
 
+def _median_curve_per_generation(reports):
+    """median_curve.csv as it was built before: two np.median calls per generation."""
+    depth = min(len(r.trace) for r in reports)
+    lines = ["generation,fes_used,best_fitness"]
+    for g in range(depth):
+        fes = float(np.median([r.trace[g][1] for r in reports]))
+        best = float(np.median([r.trace[g][2] for r in reports]))
+        lines.append(f"{g},{format(fes, '.17g')},{format(best, '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_median_curve_matches_per_generation_formula(tmp_path_factory, lengths, ties, seed):
+    # unequal lengths are what multiswarm runs produce; ties and signed
+    # zeros exercise the middle-pair mean of an even repetition count
+    rng = np.random.default_rng(seed)
+    reports = []
+    for r, length in enumerate(lengths):
+        fes = np.cumsum(rng.integers(1, 60, length)).tolist()
+        best = rng.integers(-2, 3, length) * 0.5 if ties else rng.standard_normal(length) * 10.0 ** rng.integers(-12, 4)
+        best = [-0.0 if v == 0 and rng.random() < 0.5 else float(v) for v in best]
+        trace = [(g, fes[g], best[g]) for g in range(length)]
+        reports.append(RunReport(trace=trace, final_best=Firefly(np.zeros(2), best[-1]), fes_total=fes[-1], seed=r))
+    config = small_config(repetitions=len(reports))
+    out = tmp_path_factory.mktemp("median")
+    stats = SummaryStats(0.0, 0.0, 0.0, 0.0, None, None)
+    emit_results(stats, reports, config, out)
+    assert (out / "median_curve.csv").read_text() == _median_curve_per_generation(reports)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    reps=st.integers(1, 6),
+    depth=st.integers(1, 12),
+    values=st.sampled_from(["normal", "ties", "zeros", "non_finite"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_median_columns_matches_np_median(reps, depth, values, seed):
+    rng = np.random.default_rng(seed)
+    if values == "normal":
+        a = rng.standard_normal((reps, depth)) * 10.0 ** rng.integers(-300, 300)
+    elif values == "ties":
+        a = rng.integers(-2, 3, (reps, depth)) * 0.5
+    elif values == "zeros":
+        a = rng.choice([0.0, -0.0, 1.0, -1.0], (reps, depth))
+    else:
+        a = rng.choice([np.nan, np.inf, -np.inf, 1.0, -0.0, 1e308], (reps, depth))
+    # 1e308 + 1e308 overflows and inf - inf is NaN, in both
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.median(a, axis=0)
+        got = _median_columns(a.copy())
+    assert got.tobytes() == want.tobytes()
+
+
+def test_emit_does_not_import_numpy_ma(tmp_path):
+    # np.median's first call imports numpy.ma, ~1.5 MiB at a run's peak
+    code = (
+        "import sys\n"
+        "from fireflyopt import parse_config, run_experiment\n"
+        "from fireflyopt.harness import emit_results\n"
+        f"config = parse_config({SMALL!r})\n"
+        "stats, reports = run_experiment(config)\n"
+        f"emit_results(stats, reports, config, {str(tmp_path)!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+    assert len((tmp_path / "median_curve.csv").read_text().splitlines()) > 1
+
+
 def test_summary_json_contents(tmp_path):
     config = small_config()
     stats, reports = run_experiment(config)
@@ -378,6 +458,12 @@ def test_compare_row_order_and_budget_check():
         compare_variants([base, rastrigin])
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_experiment_rejects_non_positive_workers(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_experiment(small_config(), workers=workers)
+
+
 # --------------------------------------------------------------------- cli
 
 
@@ -443,3 +529,15 @@ def test_cli_compare(tmp_path, capsys):
     rows = parse_compare_table(out)
     assert [r["variant"] for r in rows] == ["base", "sa_like"]
     assert (out_dir / "compare.csv").read_text() == out
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_rejects_non_positive_workers(tmp_path, capsys, command, workers):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(SMALL)
+    out_dir = tmp_path / "out"
+    flag = "--config" if command == "run" else "--configs"
+    assert main([command, flag, str(cfg), "--out", str(out_dir), "--workers", workers]) == 1
+    assert "workers" in capsys.readouterr().err
+    assert not out_dir.exists()

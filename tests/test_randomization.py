@@ -1,10 +1,15 @@
 """Random-step generators, schedules, and the chaotic map."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fireflyopt import randomization
 from fireflyopt import (
     ScheduleDescriptor,
     alpha_at,
@@ -113,6 +118,77 @@ def test_alpha_at_chaotic_iterates():
     assert alpha_at(sched, 0) == 2.0 * 0.7
     assert abs(alpha_at(sched, 1) - 2.0 * 0.84) < 1e-15
     assert abs(alpha_at(sched, 2) - 2.0 * 0.5376) < 1e-14
+
+
+def _replayed_orbit(x0, length):
+    """x_0 .. x_{length-1} of the logistic map, each the replay from x0 as alpha_at once ran it."""
+    orbit = [x0]
+    for _ in range(length - 1):
+        orbit.append(logistic_next(orbit[-1]))
+    return orbit
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    x0=st.floats(0.01, 0.99).filter(lambda x: x not in (0.25, 0.5, 0.75)),
+    ts=st.lists(st.integers(0, 3000), max_size=60),
+)
+def test_alpha_at_chaotic_matches_replay(x0, ts):
+    sched = ScheduleDescriptor("chaotic", alpha0=0.3, x0=x0)
+    orbit = _replayed_orbit(x0, 3001)
+    # a run's order (0, 1, 2, ...), then jumps back and forth and repeats
+    for t in list(range(3001)) + ts + ts[::-1]:
+        assert alpha_at(sched, t) == 0.3 * orbit[t]
+
+
+def test_alpha_at_chaotic_matches_replay_from_two_threads():
+    # two threads share the schedules of one x0, as --workers 2 repetitions
+    # do; one walks forward as a run does, the other backward, and a short
+    # switch interval interleaves them finely
+    scheds = [ScheduleDescriptor("chaotic", alpha0=a, x0=0.7) for a in (0.2, 0.5)]
+    orbit = _replayed_orbit(0.7, 3001)
+    barrier = threading.Barrier(2, timeout=30)
+    mismatches = []
+    walked = []
+
+    def walk(order):
+        barrier.wait()
+        for t in order:
+            for sched in scheds:
+                if alpha_at(sched, t) != sched.alpha0 * orbit[t]:
+                    mismatches.append((sched, t))
+        walked.append(len(order))
+
+    threads = [threading.Thread(target=walk, args=(order,)) for order in (range(3001), range(3000, -1, -7))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(walked) == [429, 3001]
+    assert mismatches == []
+
+
+def test_alpha_at_chaotic_cold_call_at_large_t_and_one_cursor():
+    orbit = _replayed_orbit(0.7, 200_001)
+    sched = ScheduleDescriptor("chaotic", alpha0=1.0, x0=0.7)
+    got = []
+    thread = threading.Thread(target=lambda: got.append(alpha_at(sched, 200_000)))
+    thread.start()
+    thread.join(timeout=60)
+    assert got == [orbit[200_000]]
+    # alternating x0s restart from each x0 and keep only the last cursor
+    other = ScheduleDescriptor("chaotic", alpha0=1.0, x0=0.123)
+    other_orbit = _replayed_orbit(0.123, 51)
+    for t in (10, 50, 50, 20):
+        assert alpha_at(sched, t) == orbit[t]
+        assert alpha_at(other, t) == other_orbit[t]
+    assert randomization._cursor.last == (0.123, 20, other_orbit[20])
 
 
 def test_schedule_validation():

@@ -1,5 +1,6 @@
 """Variant mechanisms: elitist move, global-best pull, reductions, multi-swarm, penalty."""
 
+import copy
 import math
 
 import numpy as np
@@ -127,6 +128,47 @@ def test_pull_step_requires_evaluated_state():
     state = initialize(obj, params, 0)
     with pytest.raises(ValueError):
         global_best_pull_step(state, obj, params)
+
+
+def _pull_step_loop(state, objective, params, alpha):
+    """The pull step as written before it moved to arrays: one firefly at a time."""
+    g = state.best.position
+    w = objective.width
+    eps = state.rng.standard_normal((len(state.fireflies), objective.dim))
+    for fly, ek in zip(state.fireflies, eps):
+        diff = g - fly.position
+        nd = diff / w
+        beta = params.beta0 * math.exp(-params.gamma * float(nd @ nd))
+        pos = fly.position + beta * diff + alpha * ek * w
+        np.clip(pos, objective.lower, objective.upper, out=pos)
+        fly.position = pos
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    pop=st.integers(1, 40),
+    dim=st.sampled_from([1, 2, 5, 9, 30]),
+    gamma=st.sampled_from([0.0, 0.1, 1.0, 100.0]),
+    beta0=st.sampled_from([0.0, 0.5, 1.0]),
+    # large alphas push most moves onto the bounds
+    alpha=st.sampled_from([0.0, 1e-3, 0.2, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pull_step_matches_per_firefly_loop(pop, dim, gamma, beta0, alpha, seed):
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-10.0, 0.0, dim)
+    obj = Objective(dim=dim, lower=lower, upper=lower + rng.uniform(0.1, 20.0, dim), eval=lambda x: 0.0)
+    params = FaParams(alpha=alpha, beta0=beta0, gamma=gamma, pop_size=pop, max_fes=10 * pop)
+    state = initialize(obj, params, seed)
+    state.best = Firefly(rng.uniform(obj.lower, obj.upper), 0.0)
+    oracle = copy.deepcopy(state)
+    for _ in range(2):
+        global_best_pull_step(state, obj, params, alpha=alpha)
+        _pull_step_loop(oracle, obj, params, alpha)
+    got = np.array([f.position for f in state.fireflies])
+    want = np.array([f.position for f in oracle.fireflies])
+    assert got.tobytes() == want.tobytes()
+    assert state.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
 # -------------------------------------------------------------- reductions
