@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from types import MethodType
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -214,23 +215,39 @@ def checked_eval(objective: Objective, position: np.ndarray) -> float:
 
 # Row twins as (scalar function, twin) pairs, registered by benchmarks.py:
 # a twin evaluates an (n, d) array of points in one call and gives, row for
-# row, the bits of its function.  evaluate matches objective.eval by
-# identity, so any wrapper of a registered function (a penalty closure, a
-# tracing wrapper, a functools.wraps copy) keeps the per-point path and
-# every call goes through the wrapper.
+# row, the bits of its function (and, for a landscape with state, the same
+# state afterwards).  _row_twin matches objective.eval by identity, or a
+# bound method by its __func__, with the twin bound to the same instance.
+# So any wrapper of a registered function (a penalty closure, a tracing
+# wrapper, a functools.wraps copy) and any subclass override keep the
+# per-point path, and every call goes through the wrapper.
 _ROW_TWINS: list[tuple[Callable, Callable]] = []
 
 
 def _row_twin(fn: Callable) -> Optional[Callable]:
-    return next((rows for f, rows in _ROW_TWINS if f is fn), None)
+    func = getattr(fn, "__func__", fn)
+    rows = next((rows for f, rows in _ROW_TWINS if f is func), None)
+    if rows is None or func is fn:
+        return rows
+    return MethodType(rows, fn.__self__)
 
 
-def _checked_rows(rows: Callable, flies: list[Firefly], dim: int) -> list[float]:
-    """Fitness of every firefly from one call of a row twin, checked as checked_eval checks."""
-    values = rows(np.array([fly.position for fly in flies], dtype=float).reshape(len(flies), dim)).tolist()
+def checked_rows(objective: Objective, positions) -> list[float]:
+    """objective.eval at n positions, checked as checked_eval checks.
+
+    When objective.eval has a row twin (see _ROW_TWINS), the positions (an
+    (n, d) array or n d-vectors) are stacked and go to one twin call;
+    otherwise each goes to checked_eval.  Both give the same values and
+    raise the same EvaluationError, naming the first non-finite position.
+    """
+    rows = _row_twin(objective.eval)
+    if rows is None:
+        return [checked_eval(objective, position) for position in positions]
+    positions = np.asarray(positions, dtype=float).reshape(-1, objective.dim)
+    values = rows(positions).tolist()
     if not all(map(math.isfinite, values)):
-        fly, value = next((f, v) for f, v in zip(flies, values) if not math.isfinite(v))
-        raise _non_finite(value, fly.position)
+        k, value = next((k, v) for k, v in enumerate(values) if not math.isfinite(v))
+        raise _non_finite(value, positions[k])
     return values
 
 
@@ -276,19 +293,13 @@ def evaluate(state: SwarmState, objective: Objective, params: FaParams) -> Swarm
     the population is refreshed and the budget is exhausted, which ends
     the run.
 
-    When objective.eval is a function with a registered row twin (see
-    _ROW_TWINS), the refreshed positions are stacked and evaluated in one
-    call; otherwise each is a checked_eval call.  Both give the same
-    values, best-so-far and errors.
+    The refreshed positions are stacked and evaluated by checked_rows: in
+    one call when objective.eval has a row twin, otherwise one by one.
     """
     remaining = params.max_fes - state.fes_used
     n = min(len(state.fireflies), remaining)
     flies = state.fireflies[:n]
-    rows = _row_twin(objective.eval)
-    if rows is None:
-        values = [checked_eval(objective, fly.position) for fly in flies]
-    else:
-        values = _checked_rows(rows, flies, objective.dim)
+    values = checked_rows(objective, [fly.position for fly in flies])
     for fly, value in zip(flies, values):
         fly.fitness = value
         if state.best is None or value < state.best.fitness:

@@ -85,6 +85,8 @@ class ExperimentConfig:
             )
         if self.repetitions < 1:
             raise ValueError("malformed value for 'repetitions': must be >= 1")
+        if self.dim < 1:
+            raise ValueError(f"malformed value for 'dim': must be >= 1, got {self.dim}")
 
         if self.variant in _FORCED:
             key, value = _FORCED[self.variant]

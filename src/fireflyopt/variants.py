@@ -21,6 +21,7 @@ from .core import (
     Objective,
     SwarmState,
     checked_eval,
+    checked_rows,
     initialize,
     step,
 )
@@ -249,11 +250,9 @@ def _rerandomize(swarm: SwarmState, objective: Objective) -> None:
 
 def _probe_sentinels(sentinels: SentinelSet, swarms: list[SwarmState], objective: Objective) -> np.ndarray:
     """Evaluate every sentinel, charging probe k to swarm k mod len(swarms)."""
-    fresh = np.empty(len(sentinels.positions))
-    for k, probe in enumerate(sentinels.positions):
+    for k in range(len(sentinels.positions)):
         swarms[k % len(swarms)].fes_used += 1
-        fresh[k] = checked_eval(objective, probe)
-    return fresh
+    return np.array(checked_rows(objective, sentinels.positions), dtype=float)
 
 
 def initialize_multiswarm(
@@ -312,9 +311,10 @@ def multiswarm_step(
     if sentinels.values is None:
         sentinels.values = fresh
     elif np.any(np.abs(fresh - sentinels.values) > CHANGE_TOLERANCE):
+        flies = [fly for swarm in swarms for fly in swarm.fireflies]
+        for fly, value in zip(flies, checked_rows(objective, [fly.position for fly in flies])):
+            fly.fitness = value
         for swarm in swarms:
-            for fly in swarm.fireflies:
-                fly.fitness = checked_eval(objective, fly.position)
             swarm.fes_used += len(swarm.fireflies)
             swarm.best = min(swarm.fireflies, key=lambda f: f.fitness).copy()
         # re-baseline the probes after the invalidation pass, so the

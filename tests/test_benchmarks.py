@@ -1,11 +1,13 @@
 """Benchmark registry definitions and the moving-peaks landscape."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fireflyopt import benchmark_names, lookup, make_moving_peaks
+from fireflyopt import MovingPeaks, benchmark_names, lookup, make_moving_peaks
 from fireflyopt.core import _row_twin
 
 FOUR_PEAKS_AT_ORIGIN = -2.000000225070375  # -(2 + 2e^-16 + 2e^-32), high-precision arithmetic
@@ -193,6 +195,60 @@ def test_moving_peaks_validation():
         make_moving_peaks(shift_length=0.0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("dim", {"dim": 0}),
+        ("dim", {"dim": -1}),
+        ("shift_length", {"shift_length": math.nan}),
+        ("shift_length", {"shift_length": math.inf}),
+        ("shift_length", {"shift_length": -math.inf}),
+        ("heights", {"heights": np.array([50.0, math.nan])}),
+        ("heights", {"heights": np.array([math.inf, 50.0])}),
+        ("widths", {"widths": np.array([math.nan, 2.0])}),
+        ("widths", {"widths": np.array([2.0, math.inf])}),
+        ("centers", {"centers": np.array([[10.0, math.nan], [20.0, 20.0]])}),
+        ("centers", {"centers": np.array([[10.0, 10.0], [-math.inf, 20.0]])}),
+    ],
+)
+def test_moving_peaks_rejects_invalid_inputs_by_name(name, kwargs):
+    # each of these used to be accepted and failed later: dim 0 mid-run,
+    # the rest as non-finite values, or non-finite centers after a shift
+    with pytest.raises(ValueError, match=name):
+        make_moving_peaks(**{"peak_count": 2, "dim": 2, "seed": 0, **kwargs})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    peak_count=st.integers(1, 6),
+    dim=st.sampled_from([1, 2, 5, 30]),
+    shift_interval=st.one_of(st.none(), st.integers(1, 50)),
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moving_peaks_rows_match_value_calls(peak_count, dim, shift_interval, sizes, seed):
+    """rows on one landscape equals value, and the norm formula, on twin landscapes, bit for bit."""
+    landscapes = [
+        make_moving_peaks(peak_count=peak_count, dim=dim, shift_interval=shift_interval, shift_length=7.0,
+                          seed=seed).change_hook
+        for _ in range(3)
+    ]
+    rng = np.random.default_rng(seed)
+    # inside the box, around it, and on the current centers
+    batches = [rng.uniform(-20.0, 120.0, size=(n, dim)) for n in sizes]
+    batches[0][: peak_count] = landscapes[0].centers[: len(batches[0])]
+    batched, looped, norm = landscapes
+    got = [v for batch in batches for v in batched.rows(batch).tolist()]
+    want = [looped.value(x) for batch in batches for x in batch]
+    oracle = [_norm_formula_value(norm, x) for batch in batches for x in batch]
+    assert np.array(got).tobytes() == np.array(want).tobytes() == np.array(oracle).tobytes()
+    for other in (looped, norm):
+        assert batched.evals == other.evals == sum(sizes)
+        assert batched.shift_log == other.shift_log
+        assert batched.centers.tobytes() == other.centers.tobytes()
+        assert batched.rng.bit_generator.state == other.rng.bit_generator.state
+
+
 # ------------------------------------------------------------- row twins
 
 BATCHED = ("sphere",)
@@ -201,7 +257,10 @@ BATCHED = ("sphere",)
 def test_row_twins_cover_exactly_the_batched_objectives():
     for name in benchmark_names():
         assert (_row_twin(lookup(name, 2).eval) is not None) == (name in BATCHED)
-    assert _row_twin(make_moving_peaks(seed=0).eval) is None
+    # moving peaks: its bound value method gets rows bound to the same landscape
+    obj = make_moving_peaks(seed=0)
+    twin = _row_twin(obj.eval)
+    assert twin.__func__ is MovingPeaks.rows and twin.__self__ is obj.change_hook
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

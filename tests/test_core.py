@@ -15,7 +15,9 @@ from fireflyopt import (
     EvaluationError,
     FaParams,
     Firefly,
+    MovingPeaks,
     Objective,
+    PenaltySpec,
     ScheduleDescriptor,
     SwarmState,
     attractiveness,
@@ -26,9 +28,11 @@ from fireflyopt import (
     intensity_at,
     levy_step,
     lookup,
+    make_moving_peaks,
     move_firefly,
     order,
     pairwise_sweep,
+    penalty_wrap,
     run,
     step,
 )
@@ -405,6 +409,75 @@ def test_evaluate_wrappers_of_a_batched_function_keep_the_per_point_path():
         evaluate(state, obj, params)
         assert len(calls) == 5
         assert [f.fitness for f in state.fireflies] == [sphere(f.position) + 1.0 for f in state.fireflies]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    pop=st.integers(2, 30),
+    shift=st.integers(0, 28),
+    dim=st.sampled_from([1, 2, 5]),
+    generations=st.integers(1, 6),
+    tail=st.integers(0, 29),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_batch_path_matches_per_point_path_across_shifts(pop, shift, dim, generations, tail, seed):
+    # shift_interval below pop, so the first shift lands inside the first pass
+    shift_interval = 1 + shift % (pop - 1)
+    landscapes = [
+        make_moving_peaks(peak_count=3, dim=dim, shift_interval=shift_interval, shift_length=15.0, seed=seed)
+        for _ in range(2)
+    ]
+    batched, per_point = landscapes[0], _per_point(landscapes[1])
+    assert core._row_twin(batched.eval) is not None and core._row_twin(per_point.eval) is None
+    # a tail shorter than pop ends the run on a partial pass
+    params = FaParams(pop_size=pop, max_fes=pop * generations + tail % pop)
+    a, b = run(batched, params, seed), run(per_point, params, seed)
+    assert np.array(a.trace).tobytes() == np.array(b.trace).tobytes()
+    assert a.final_best.position.tobytes() == b.final_best.position.tobytes()
+    first, second = (obj.change_hook for obj in landscapes)
+    assert first.evals == second.evals == params.max_fes
+    assert first.shift_log == second.shift_log and first.shift_log[0] % pop != 0
+    assert first.centers.tobytes() == second.centers.tobytes()
+    assert first.rng.bit_generator.state == second.rng.bit_generator.state
+
+
+def test_evaluate_wrappers_of_moving_peaks_keep_the_per_point_path():
+    # a penalty closure, a functools.wraps copy of the bound value method and
+    # a subclass overriding value each see every call, in order, across a
+    # shift inside the pass
+    calls = []
+
+    def landscape():
+        return make_moving_peaks(peak_count=3, dim=2, shift_interval=3, seed=4)
+
+    copied_from = landscape()
+
+    @functools.wraps(copied_from.eval)
+    def copied(x):
+        calls.append(1)
+        return copied_from.eval(x)
+
+    class Overridden(MovingPeaks):
+        def value(self, x):
+            calls.append(1)
+            return super().value(x)
+
+    def feasible(x):
+        calls.append(1)
+        return -1.0
+
+    penalized = penalty_wrap(landscape(), PenaltySpec(constraints=(feasible,)))
+    overridden = Overridden(**vars(landscape().change_hook))
+    params = FaParams(pop_size=5, max_fes=10)
+    for fn in (penalized.eval, copied, overridden.value):
+        assert core._row_twin(fn) is None
+        calls.clear()
+        obj = Objective(dim=2, lower=penalized.lower, upper=penalized.upper, eval=fn)
+        state = initialize(obj, params, 0)
+        evaluate(state, obj, params)
+        oracle = landscape().change_hook
+        assert len(calls) == 5
+        assert [f.fitness for f in state.fireflies] == [oracle.value(f.position) for f in state.fireflies]
 
 
 # ------------------------------------------------------------ order, best

@@ -101,6 +101,21 @@ sentinel_count: 3
 shift_interval: 1000
 max_fes: 6000
 """,
+    # shift_interval 7 divides no evaluation pass: shifts land mid-batch
+    "moving_peaks_base_shift7": SMALL.format(benchmark="moving_peaks", variant="base")
+    + "shift_interval: 7\n",
+    "moving_peaks_multiswarm_shift7": """\
+benchmark: moving_peaks
+variant: multiswarm
+repetitions: 2
+base_seed: 11
+dim: 3
+pop_size: 24
+num_swarms: 3
+sentinel_count: 3
+shift_interval: 7
+max_fes: 1200
+""",
 }
 
 

@@ -11,7 +11,15 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fireflyopt import ExperimentConfig, Firefly, RunReport, SummaryStats, parse_config, run_experiment
+from fireflyopt import (
+    ExperimentConfig,
+    Firefly,
+    RunReport,
+    SummaryStats,
+    benchmark_names,
+    parse_config,
+    run_experiment,
+)
 from fireflyopt.cli import main
 from fireflyopt.harness import _median_columns, compare_variants, emit_results, run_single
 
@@ -84,6 +92,15 @@ def test_parse_rejects_unknown_variant_and_benchmark():
         parse_config("benchmark: sphere\nvariant: annealed\nrepetitions: 1\nbase_seed: 0\n")
     with pytest.raises(ValueError, match="benchmark"):
         parse_config("benchmark: schwefel\nvariant: base\nrepetitions: 1\nbase_seed: 0\n")
+
+
+@pytest.mark.parametrize("name", benchmark_names() + ("moving_peaks",))
+@pytest.mark.parametrize("dim", [0, -3])
+def test_parse_rejects_non_positive_dim(name, dim):
+    # before the check, moving_peaks with dim 0 failed only mid-run, and the
+    # registry benchmarks only when the first repetition built its objective
+    with pytest.raises(ValueError, match="'dim'"):
+        parse_config(f"benchmark: {name}\nvariant: base\nrepetitions: 1\nbase_seed: 0\ndim: {dim}\n")
 
 
 def test_parse_variant_wiring():

@@ -33,6 +33,7 @@ from fireflyopt import (
     reduction_mode,
     step,
 )
+from fireflyopt.core import _row_twin
 from fireflyopt.variants import _exclusion_victims, _pair_distances, _swarm_diameter
 
 
@@ -328,6 +329,65 @@ def test_multiswarm_flags_change_on_first_sentinel_cycle_after_shift():
     # sentinels run at the start of a generation, so the first chance to see
     # a mid-generation shift is the following generation's sentinel phase
     assert any(shift_gen <= g <= shift_gen + 1 for g in gens_with_change)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    num_swarms=st.integers(1, 4),
+    swarm_size=st.integers(1, 8),
+    sentinel_count=st.integers(0, 5),
+    dim=st.sampled_from([1, 2, 5]),
+    shift_interval=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multiswarm_batch_path_matches_per_point_path(num_swarms, swarm_size, sentinel_count, dim,
+                                                       shift_interval, seed):
+    # shifts land inside the sentinel probes, the change re-evaluation and
+    # the swarms' evaluation passes
+    landscapes = [
+        make_moving_peaks(peak_count=3, dim=dim, shift_interval=shift_interval, shift_length=15.0, seed=seed)
+        for _ in range(2)
+    ]
+    fn = landscapes[1].eval
+    per_point = Objective(dim=dim, lower=landscapes[1].lower, upper=landscapes[1].upper, eval=lambda x: fn(x))
+    assert _row_twin(landscapes[0].eval) is not None and _row_twin(per_point.eval) is None
+    params = FaParams(pop_size=num_swarms * swarm_size, max_fes=10**6)
+    config = MultiSwarmConfig(num_swarms=num_swarms, swarm_size=swarm_size, exclusion_radius=0.1,
+                              anticonvergence_radius=0.05, sentinel_count=sentinel_count)
+    runs = []
+    for obj in (landscapes[0], per_point):
+        swarms = initialize_multiswarm(obj, params, config, seed)
+        sentinels = make_sentinels(obj, sentinel_count, seed + 1)
+        log = []
+        for _ in range(12):
+            multiswarm_step(swarms, config, obj, params, sentinels=sentinels, log=log)
+        runs.append((swarms, sentinels, log))
+    (a, a_sentinels, a_log), (b, b_sentinels, b_log) = runs
+    assert a_log == b_log
+    assert any(e["event"] == "change" for e in a_log) == (sentinel_count > 0)
+    assert np.asarray(a_sentinels.values).tobytes() == np.asarray(b_sentinels.values).tobytes()
+    def flies(swarm):
+        best = [] if swarm.best is None else [[swarm.best.fitness, *swarm.best.position]]
+        return swarm.fes_used, np.array([[f.fitness, *f.position] for f in swarm.fireflies] + best).tobytes()
+
+    assert [flies(s) for s in a] == [flies(s) for s in b]
+    first, second = (obj.change_hook for obj in landscapes)
+    assert first.evals == second.evals and first.shift_log == second.shift_log
+    assert first.centers.tobytes() == second.centers.tobytes()
+    assert first.rng.bit_generator.state == second.rng.bit_generator.state
+
+
+def test_sentinel_probes_are_charged_round_robin():
+    # probe k is charged to swarm k mod num_swarms, on the batched path too
+    obj = make_moving_peaks(peak_count=3, dim=2, shift_interval=None, seed=2)
+    assert _row_twin(obj.eval) is not None
+    params = FaParams(pop_size=6, max_fes=10_000)
+    config = MultiSwarmConfig(num_swarms=3, swarm_size=2, exclusion_radius=0.05,
+                              anticonvergence_radius=0.01, sentinel_count=5)
+    swarms = initialize_multiswarm(obj, params, config, 3)
+    multiswarm_step(swarms, config, obj, params, sentinels=make_sentinels(obj, 5, 33))
+    assert [s.fes_used for s in swarms] == [2 + 2, 2 + 2, 2 + 1]
+    assert obj.change_hook.evals == 5 + 6
 
 
 def test_multiswarm_bests_separated_after_step():
