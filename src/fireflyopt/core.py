@@ -1,7 +1,7 @@
 """Domain types and the base firefly algorithm.
 
 The search loop per generation: refresh the randomization scale, evaluate
-the population, sort it by fitness, reconcile the best-so-far, then sweep
+the population and reconcile the best-so-far, sort it by fitness, then sweep
 attraction moves (each firefly moves toward every strictly brighter peer).
 Minimization convention throughout: the brightest firefly has the lowest fitness.
 
@@ -77,12 +77,10 @@ class FaParams:
     elitism: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta0 < 0:
-            raise ValueError(f"beta0 must be >= 0, got {self.beta0}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        for name in ("alpha", "beta0", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.pop_size < 1:
             raise ValueError(f"pop_size must be >= 1, got {self.pop_size}")
         if self.max_fes < self.pop_size:
@@ -168,11 +166,7 @@ class RunReport:
 
 def intensity_at(i0: float, gamma: float, r: float) -> float:
     """Perceived light intensity at distance r from a source of intensity i0."""
-    if r < 0:
-        raise ValueError(f"distance must be >= 0, got {r}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    return i0 * math.exp(-gamma * r * r)
+    return attractiveness(i0, gamma, r)
 
 
 def attractiveness(beta0: float, gamma: float, r: float) -> float:
@@ -201,18 +195,6 @@ def _draw_eps_rows(rng, rows, dim, kind, eps_fn) -> np.ndarray:
     return np.asarray(draw(rng, rows * dim), dtype=float).reshape(rows, dim)
 
 
-def _non_finite(value: float, position: np.ndarray) -> EvaluationError:
-    return EvaluationError(f"objective returned {value} at position {position.tolist()}")
-
-
-def checked_eval(objective: Objective, position: np.ndarray) -> float:
-    """objective.eval at position as a float; NaN or +-inf raises EvaluationError."""
-    value = float(objective.eval(position))
-    if not math.isfinite(value):
-        raise _non_finite(value, position)
-    return value
-
-
 # Row twins as (scalar function, twin) pairs, registered by benchmarks.py:
 # a twin evaluates an (n, d) array of points in one call and gives, row for
 # row, the bits of its function (and, for a landscape with state, the same
@@ -233,22 +215,48 @@ def _row_twin(fn: Callable) -> Optional[Callable]:
 
 
 def checked_rows(objective: Objective, positions) -> list[float]:
-    """objective.eval at n positions, checked as checked_eval checks.
+    """objective.eval at n positions (an (n, d) array or n d-vectors), as floats.
 
-    When objective.eval has a row twin (see _ROW_TWINS), the positions (an
-    (n, d) array or n d-vectors) are stacked and go to one twin call;
-    otherwise each goes to checked_eval.  Both give the same values and
-    raise the same EvaluationError, naming the first non-finite position.
+    When objective.eval has a row twin (see _ROW_TWINS), the positions are
+    stacked and go to one twin call; otherwise they go to objective.eval
+    one by one, in order.  Both give the same values.  A non-finite value
+    (NaN or +-inf) raises EvaluationError naming the first such position;
+    on the per-point path no position after it is evaluated.
     """
     rows = _row_twin(objective.eval)
     if rows is None:
-        return [checked_eval(objective, position) for position in positions]
-    positions = np.asarray(positions, dtype=float).reshape(-1, objective.dim)
-    values = rows(positions).tolist()
-    if not all(map(math.isfinite, values)):
-        k, value = next((k, v) for k, v in enumerate(values) if not math.isfinite(v))
-        raise _non_finite(value, positions[k])
-    return values
+        values = map(float, map(objective.eval, positions))
+    else:
+        positions = np.asarray(positions, dtype=float).reshape(-1, objective.dim)
+        values = rows(positions).tolist()
+    checked = []
+    for value in values:
+        if not math.isfinite(value):
+            raise EvaluationError(f"objective returned {value} at position {positions[len(checked)].tolist()}")
+        checked.append(value)
+    return checked
+
+
+def pull_rows(
+    positions: np.ndarray,
+    target: np.ndarray,
+    params: FaParams,
+    alpha: float,
+    eps: np.ndarray,
+    width: np.ndarray,
+) -> np.ndarray:
+    """Every row of positions pulled toward target, with a random step.
+
+    Row i becomes s_i + beta0 * exp(-gamma * r_i^2) * (target - s_i) +
+    (alpha * eps_i) * width, with r_i the normalized distance.  r^2 stays
+    one dot product per row and beta one math.exp per row, which keeps
+    every bit of the one-pair formula (einsum, sum(axis=1) and np.exp do
+    not).  The caller clamps to bounds.
+    """
+    diff = target - positions
+    nd = diff / width
+    beta = params.beta0 * np.array([math.exp(-params.gamma * float(r @ r)) for r in nd])
+    return positions + beta[:, None] * diff + alpha * eps * width
 
 
 def move_firefly(
@@ -262,16 +270,20 @@ def move_firefly(
 
     Returns si.position + beta0 * exp(-gamma * r^2) * (sj - si) + alpha * eps,
     where r is the normalized distance and eps is drawn per epsilon_kind and
-    scaled elementwise by the domain width.  The caller clamps to bounds.
+    scaled elementwise by the domain width (pull_rows on one row).  The
+    caller clamps to bounds.
     """
     if si.position.shape != sj.position.shape:
         raise ValueError(f"dimension mismatch: {si.position.shape} vs {sj.position.shape}")
     w = np.asarray(domain_width, dtype=float)
-    diff = sj.position - si.position
-    nd = diff / w
-    beta = params.beta0 * math.exp(-params.gamma * float(nd @ nd))
-    eps = _draw_eps_rows(rng, 1, si.position.size, params.epsilon_kind, None)[0]
-    return si.position + beta * diff + params.alpha * eps * w
+    eps = _draw_eps_rows(rng, 1, si.position.size, params.epsilon_kind, None)
+    return pull_rows(si.position[None, :], sj.position, params, params.alpha, eps, w)[0]
+
+
+def random_fireflies(rng: np.random.Generator, objective: Objective, n: int) -> list[Firefly]:
+    """n fireflies drawn uniformly inside the bounds, fitness unset (NaN)."""
+    pos = rng.uniform(objective.lower, objective.upper, size=(n, objective.dim))
+    return [Firefly(position=row.copy()) for row in pos]
 
 
 def initialize(objective: Objective, params: FaParams, seed) -> SwarmState:
@@ -281,8 +293,7 @@ def initialize(objective: Objective, params: FaParams, seed) -> SwarmState:
     stays unset (NaN) until the first evaluation pass.
     """
     rng = np.random.default_rng(seed)
-    pos = rng.uniform(objective.lower, objective.upper, size=(params.pop_size, objective.dim))
-    fireflies = [Firefly(position=pos[i].copy()) for i in range(params.pop_size)]
+    fireflies = random_fireflies(rng, objective, params.pop_size)
     return SwarmState(fireflies=fireflies, t=0, fes_used=0, best=None, rng=rng)
 
 
@@ -520,9 +531,10 @@ def step(
     params: FaParams,
     sweep: Optional[Callable] = None,
 ) -> SwarmState:
-    """One generation: schedule alpha, evaluate, sort, track best, move.
+    """One generation: schedule alpha, evaluate and track best, sort, move.
 
-    The movement phase is skipped once the budget is exhausted (its result
+    evaluate reconciles the best-so-far with each value it computes.  The
+    movement phase is skipped once the budget is exhausted (its result
     could never be evaluated).  A custom sweep replaces the pairwise
     attraction while keeping the rest of the generation structure.
     """
@@ -531,7 +543,6 @@ def step(
     alpha_t = alpha_at(params.alpha_schedule, state.t)
     evaluate(state, objective, params)
     order(state)
-    find_best(state)
     if state.fes_used < params.max_fes:
         if sweep is None:
             pairwise_sweep(state, objective, params, alpha_t)

@@ -9,6 +9,7 @@ run sequentially or concurrently.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -87,6 +88,14 @@ class ExperimentConfig:
             raise ValueError("malformed value for 'repetitions': must be >= 1")
         if self.dim < 1:
             raise ValueError(f"malformed value for 'dim': must be >= 1, got {self.dim}")
+        if self.elitist_trials < 0:
+            raise ValueError(f"malformed value for 'elitist_trials': must be >= 0, got {self.elitist_trials}")
+        if not 1.0 < self.levy_lambda < 3.0:
+            raise ValueError(f"malformed value for 'levy_lambda': must lie in (1, 3), got {self.levy_lambda}")
+        if not math.isfinite(self.success_threshold):
+            raise ValueError(
+                f"malformed value for 'success_threshold': must be finite, got {self.success_threshold}"
+            )
 
         if self.variant in _FORCED:
             key, value = _FORCED[self.variant]
@@ -428,17 +437,7 @@ def emit_results(
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    summary = {
-        "config": config.flat(),
-        "stats": {
-            "mean_best": stats.mean_best,
-            "std_best": stats.std_best,
-            "min_best": stats.min_best,
-            "max_best": stats.max_best,
-            "success_rate": stats.success_rate,
-            "mean_fes_to_success": stats.mean_fes_to_success,
-        },
-    }
+    summary = {"config": config.flat(), "stats": asdict(stats)}
     path = out / "summary.json"
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(path)

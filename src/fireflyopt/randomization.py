@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SCHEDULE_KINDS = ("constant", "geometric", "chaotic")
-CHAOTIC_MAPS = ("logistic",)
 
 # Fixed points (and points that map onto them) of the logistic map at r=4;
 # starting there would freeze or kill a chaotic schedule.
@@ -27,29 +26,25 @@ class ScheduleDescriptor:
     kind:
         "constant"  -- alpha0 forever
         "geometric" -- alpha0 * ratio**t
-        "chaotic"   -- alpha0 * (t-th iterate of the chaotic map from x0)
+        "chaotic"   -- alpha0 * (t-th iterate of the logistic map from x0)
     """
 
     kind: str
     alpha0: float
     ratio: float = 0.97
-    map_id: str = "logistic"
     x0: float = 0.7
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {SCHEDULE_KINDS}")
-        if self.alpha0 < 0:
-            raise ValueError(f"alpha0 must be >= 0, got {self.alpha0}")
+        if not (math.isfinite(self.alpha0) and self.alpha0 >= 0):
+            raise ValueError(f"alpha0 must be finite and >= 0, got {self.alpha0}")
         if self.kind == "geometric" and not 0.0 < self.ratio < 1.0:
             raise ValueError(f"geometric ratio must lie strictly inside (0, 1), got {self.ratio}")
-        if self.kind == "chaotic":
-            if self.map_id not in CHAOTIC_MAPS:
-                raise ValueError(f"unknown chaotic map {self.map_id!r}")
-            if not 0.0 < self.x0 < 1.0 or self.x0 in _LOGISTIC_DEGENERATE:
-                raise ValueError(
-                    f"chaotic x0 must lie in (0, 1) away from {_LOGISTIC_DEGENERATE}, got {self.x0}"
-                )
+        if self.kind == "chaotic" and (not 0.0 < self.x0 < 1.0 or self.x0 in _LOGISTIC_DEGENERATE):
+            raise ValueError(
+                f"chaotic x0 must lie in (0, 1) away from {_LOGISTIC_DEGENERATE}, got {self.x0}"
+            )
 
 
 def gaussian_step(rng: np.random.Generator, n: int) -> np.ndarray:

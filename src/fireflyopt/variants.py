@@ -20,9 +20,10 @@ from .core import (
     Firefly,
     Objective,
     SwarmState,
-    checked_eval,
     checked_rows,
     initialize,
+    pull_rows,
+    random_fireflies,
     step,
 )
 from .randomization import alpha_at
@@ -53,10 +54,10 @@ class MultiSwarmConfig:
             raise ValueError(f"num_swarms must be >= 1, got {self.num_swarms}")
         if self.swarm_size < 1:
             raise ValueError(f"swarm_size must be >= 1, got {self.swarm_size}")
-        if self.exclusion_radius <= 0:
-            raise ValueError(f"exclusion_radius must be > 0, got {self.exclusion_radius}")
-        if self.anticonvergence_radius <= 0:
-            raise ValueError(f"anticonvergence_radius must be > 0, got {self.anticonvergence_radius}")
+        for name in ("exclusion_radius", "anticonvergence_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.sentinel_count < 0:
             raise ValueError(f"sentinel_count must be >= 0, got {self.sentinel_count}")
 
@@ -92,10 +93,10 @@ class PenaltySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.weight <= 0:
-            raise ValueError(f"weight must be > 0, got {self.weight}")
-        if self.exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.exponent}")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"weight must be finite and > 0, got {self.weight}")
+        if not (math.isfinite(self.exponent) and self.exponent >= 1):
+            raise ValueError(f"exponent must be finite and >= 1, got {self.exponent}")
 
 
 def elitist_best_move(
@@ -108,8 +109,10 @@ def elitist_best_move(
     """Probe m random directions from the brightest firefly, keep the best improvement.
 
     Directions are uniform on the sphere, displacement alpha times the
-    domain width.  If no trial improves, the brightest firefly stays
-    where it is.  Consumes up to m evaluations, never exceeding the
+    domain width; a zero direction draw is dropped.  The trials go to one
+    checked_rows call, and the first strict minimum below the brightest
+    firefly's fitness wins.  If no trial improves, the brightest firefly
+    stays where it is.  Consumes up to m evaluations, never exceeding the
     remaining budget.
     """
     if m < 0:
@@ -122,23 +125,17 @@ def elitist_best_move(
         alpha = alpha_at(params.alpha_schedule, state.t)
     w = objective.width
     dirs = state.rng.standard_normal((trials, objective.dim))
-    winner_pos = None
-    winner_fit = best.fitness
-    for u in dirs:
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            continue
-        trial = best.position + alpha * w * (u / norm)
-        np.clip(trial, objective.lower, objective.upper, out=trial)
-        state.fes_used += 1
-        value = checked_eval(objective, trial)
-        if value < winner_fit:
-            winner_fit = value
-            winner_pos = trial
-    if winner_pos is not None:
-        best.position = winner_pos
-        best.fitness = winner_fit
-        if state.best is None or winner_fit < state.best.fitness:
+    norms = np.array([float(np.linalg.norm(u)) for u in dirs])
+    keep = norms != 0.0
+    points = best.position + alpha * w * (dirs[keep] / norms[keep, None])
+    np.clip(points, objective.lower, objective.upper, out=points)
+    state.fes_used += len(points)
+    values = checked_rows(objective, points)
+    winner = min(values, default=math.inf)
+    if winner < best.fitness:
+        best.position = points[values.index(winner)]
+        best.fitness = winner
+        if state.best is None or winner < state.best.fitness:
             state.best = best.copy()
     return state
 
@@ -152,12 +149,9 @@ def global_best_pull_step(
     """Move every firefly toward the best-so-far with a Gaussian random step.
 
     Update: s_i + beta0 * exp(-gamma * r^2) * (g - s_i) + alpha * eps * width,
-    with r the normalized distance to the best-so-far g.  With gamma = 0
-    this is the accelerated-particle-swarm special case.
-
-    All fireflies move at once as (n, d) array operations; r^2 stays one
-    dot product per row and beta one math.exp per row, which keeps every
-    bit of the per-firefly formula (einsum, sum(axis=1) and np.exp do not).
+    with r the normalized distance to the best-so-far g (core.pull_rows
+    over the whole population).  With gamma = 0 this is the
+    accelerated-particle-swarm special case.
     """
     if state.best is None:
         raise ValueError("population must be evaluated before a pull step")
@@ -166,11 +160,7 @@ def global_best_pull_step(
     flies = state.fireflies
     w = objective.width
     eps = state.rng.standard_normal((len(flies), objective.dim))
-    pos = np.array([fly.position for fly in flies])
-    diff = state.best.position - pos
-    nd = diff / w
-    beta = params.beta0 * np.array([math.exp(-params.gamma * float(r @ r)) for r in nd])
-    pos = pos + beta[:, None] * diff + alpha * eps * w
+    pos = pull_rows(np.array([fly.position for fly in flies]), state.best.position, params, alpha, eps, w)
     np.clip(pos, objective.lower, objective.upper, out=pos)
     for fly, row in zip(flies, pos):
         fly.position = row
@@ -241,10 +231,7 @@ def _exclusion_victims(bests: list[Optional[Firefly]], objective: Objective, rad
 
 
 def _rerandomize(swarm: SwarmState, objective: Objective) -> None:
-    pos = swarm.rng.uniform(objective.lower, objective.upper, size=(len(swarm.fireflies), objective.dim))
-    for fly, row in zip(swarm.fireflies, pos):
-        fly.position = row.copy()
-        fly.fitness = math.nan
+    swarm.fireflies = random_fireflies(swarm.rng, objective, len(swarm.fireflies))
     swarm.best = None
 
 

@@ -22,8 +22,10 @@ from fireflyopt import (
     SwarmState,
     attractiveness,
     distance,
+    elitist_best_move,
     evaluate,
     find_best,
+    global_best_pull_step,
     initialize,
     intensity_at,
     levy_step,
@@ -145,6 +147,42 @@ def test_move_dimension_mismatch():
         move_firefly(si, sj, params, np.ones(2), np.random.default_rng(0))
 
 
+def _one_pair_formula(si, sj, params, alpha, eps, w):
+    """move_firefly's update as written before it called core.pull_rows."""
+    diff = sj - si
+    nd = diff / w
+    beta = params.beta0 * math.exp(-params.gamma * float(nd @ nd))
+    return si + beta * diff + alpha * eps * w
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 5, 30]),
+    rows=st.integers(1, 8),
+    gamma=st.sampled_from([0.0, 0.1, 1.0, 100.0]),
+    beta0=st.sampled_from([0.0, 0.5, 1.0]),
+    alpha=st.sampled_from([0.0, 1e-3, 0.2, 3.0]),
+    kind=st.sampled_from(["gaussian", "uniform_centered"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pull_rows_matches_one_pair_formula(dim, rows, gamma, beta0, alpha, kind, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 20.0, dim)
+    params = FaParams(alpha=alpha, beta0=beta0, gamma=gamma, epsilon_kind=kind)
+    si, sj = rng.uniform(-10.0, 10.0, (2, dim))
+    stream, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = move_firefly(Firefly(si), Firefly(sj), params, w, stream)
+    eps = core._draw_eps_rows(replay, 1, dim, kind, None)[0]
+    assert got.tobytes() == _one_pair_formula(si, sj, params, alpha, eps, w).tobytes()
+    assert stream.bit_generator.state == replay.bit_generator.state
+    # every row of a batch gets the one-pair formula's bits
+    pos = rng.uniform(-10.0, 10.0, (rows, dim))
+    eps = rng.standard_normal((rows, dim))
+    batch = core.pull_rows(pos, sj, params, 0.5 * alpha, eps, w)
+    for row, e, out in zip(pos, eps, batch):
+        assert out.tobytes() == _one_pair_formula(row, sj, params, 0.5 * alpha, e, w).tobytes()
+
+
 # ------------------------------------------------------------- validation
 
 
@@ -163,6 +201,15 @@ def test_params_validation():
         FaParams(epsilon_kind="cauchy")
     with pytest.raises(ValueError):
         FaParams(update_scheme="eventual")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta0", "gamma"])
+def test_params_reject_non_finite(name, bad):
+    # alpha inf pinned every position to the bounds; gamma nan failed
+    # mid-run with an EvaluationError that blamed the objective
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FaParams(**{name: bad})
 
 
 def test_objective_validation():
@@ -529,6 +576,39 @@ def test_find_best_single_and_empty():
     empty = SwarmState(fireflies=[], t=0, fes_used=0, best=None, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         find_best(empty)
+
+
+def _elitist_sweep(state, objective, params, alpha_t):
+    pairwise_sweep(state, objective, params, alpha_t)
+    elitist_best_move(state, 3, params, objective, alpha=alpha_t)
+
+
+def _pull_sweep(state, objective, params, alpha_t):
+    global_best_pull_step(state, objective, params, alpha=alpha_t)
+
+
+@pytest.mark.parametrize("move", [pairwise_sweep, _elitist_sweep, _pull_sweep])
+@pytest.mark.parametrize("name, dim", [("rastrigin", 3), ("sphere", 2)])
+def test_step_leaves_find_best_nothing_to_reconcile(move, name, dim):
+    # step does not call find_best: evaluate reconciles each value it
+    # computes, so find_best never replaces the best, before the move or
+    # after the partial final pass
+    obj = lookup(name, dim)
+    params = FaParams(pop_size=7, max_fes=7 * 40 + 4, elitism=move is _elitist_sweep)
+
+    def reconciled(state):
+        best = state.best
+        find_best(state)
+        return state.best is best
+
+    def checked_move(state, objective, params, alpha_t):
+        assert reconciled(state)
+        move(state, objective, params, alpha_t)
+
+    state = initialize(obj, params, 3)
+    while state.fes_used < params.max_fes:
+        step(state, obj, params, sweep=checked_move)
+        assert reconciled(state)
 
 
 # ------------------------------------------------------------------- step

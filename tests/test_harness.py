@@ -188,6 +188,29 @@ def test_parse_rejects_non_positive_num_swarms(num_swarms):
         parse_config(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("elitist_trials", "-1"), ("levy_lambda", "5.0"), ("levy_lambda", "1.0"), ("levy_lambda", ".nan"),
+     ("success_threshold", ".nan"), ("success_threshold", ".inf")],
+)
+def test_parse_rejects_out_of_range_variant_keys(key, value):
+    # each was accepted, and elitist_trials -1 failed only at run time
+    with pytest.raises(ValueError, match=f"malformed value for '{key}'"):
+        parse_config(MINIMAL + f"{key}: {value}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("alpha", ".inf"), ("beta0", ".nan"), ("gamma", ".nan"), ("exclusion_radius", ".nan"),
+     ("anticonvergence_radius", ".inf")],
+)
+def test_parse_rejects_non_finite_parameters(key, value):
+    # alpha also starts the schedule, whose check (alpha0) runs first
+    doc = MINIMAL.replace("variant: base", "variant: multiswarm") + "pop_size: 10\nnum_swarms: 2\n"
+    with pytest.raises(ValueError, match=f"{key}0? must be finite"):
+        parse_config(doc + f"{key}: {value}\n")
+
+
 def test_parse_rejects_non_mapping():
     with pytest.raises(ValueError):
         parse_config("- a\n- b\n")

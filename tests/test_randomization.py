@@ -205,6 +205,13 @@ def test_schedule_validation():
             ScheduleDescriptor("chaotic", alpha0=0.2, x0=x0)
 
 
+@pytest.mark.parametrize("kind", ["constant", "geometric", "chaotic"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_schedule_rejects_non_finite_alpha0(kind, bad):
+    with pytest.raises(ValueError, match="alpha0 must be finite"):
+        ScheduleDescriptor(kind, alpha0=bad)
+
+
 def test_batched_draws_match_sequential():
     # The sweep batches its per-move draws; stream equivalence with
     # sequential draws is what makes replay-style checks valid.

@@ -100,6 +100,128 @@ def test_elitist_move_improves_from_plateau():
     assert state.best.fitness < old_best
 
 
+def _elitist_move_loop(state, m, params, objective, alpha):
+    """The elitist move as written before its trials were batched: one checked call per trial."""
+    trials = min(m, params.max_fes - state.fes_used)
+    if trials <= 0:
+        return
+    best = min(state.fireflies, key=lambda f: f.fitness)
+    w = objective.width
+    dirs = state.rng.standard_normal((trials, objective.dim))
+    winner_pos = None
+    winner_fit = best.fitness
+    for u in dirs:
+        norm = float(np.linalg.norm(u))
+        if norm == 0.0:
+            continue
+        trial = best.position + alpha * w * (u / norm)
+        np.clip(trial, objective.lower, objective.upper, out=trial)
+        state.fes_used += 1
+        value = float(objective.eval(trial))
+        if not math.isfinite(value):
+            raise EvaluationError(f"objective returned {value} at position {trial.tolist()}")
+        if value < winner_fit:
+            winner_fit = value
+            winner_pos = trial
+    if winner_pos is not None:
+        best.position = winner_pos
+        best.fitness = winner_fit
+        if state.best is None or winner_fit < state.best.fitness:
+            state.best = best.copy()
+
+
+def _elitist_objective(kind, dim, shift_interval, seed):
+    if kind == "sphere":
+        return lookup("sphere", dim)
+    if kind == "penalty":
+        spec = PenaltySpec(constraints=(lambda x: 0.5 - float(x[0]),), weight=10.0)
+        return penalty_wrap(lookup("sphere", dim), spec)
+    if kind == "plateaus":  # distinct trials tie, so the first minimum must win
+        return Objective(dim=dim, lower=np.full(dim, -5.0), upper=np.full(dim, 5.0),
+                         eval=lambda x: float(np.floor(np.abs(x).sum())))
+    return make_moving_peaks(peak_count=3, dim=dim, shift_interval=shift_interval, shift_length=15.0, seed=seed)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["sphere", "penalty", "plateaus", "moving_peaks"]),
+    pop=st.integers(1, 12),
+    dim=st.sampled_from([1, 2, 5]),
+    m=st.integers(0, 12),
+    # the largest alpha pushes most trials onto the bounds, where they tie
+    alpha=st.sampled_from([0.0, 1e-3, 0.1, 3.0]),
+    spare=st.integers(0, 40),
+    shift_interval=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_elitist_move_matches_per_trial_loop(kind, pop, dim, m, alpha, spare, shift_interval, seed):
+    # the penalty closure takes the per-point path; moving peaks shifts
+    # every few evaluations, so shifts land inside the trial batches
+    params = FaParams(pop_size=pop, max_fes=pop + spare)
+    runs = []
+    for move in (elitist_best_move, _elitist_move_loop):
+        obj = _elitist_objective(kind, dim, shift_interval, seed)
+        assert (_row_twin(obj.eval) is None) == (kind in ("penalty", "plateaus"))
+        state = evaluated_state(obj, params, seed)
+        for _ in range(3):
+            move(state, m, params, obj, alpha)
+        runs.append((obj, state))
+    (a_obj, a), (b_obj, b) = runs
+    positions = [np.array([f.position for f in s.fireflies]).tobytes() for s in (a, b)]
+    assert positions[0] == positions[1]
+    assert [f.fitness for f in a.fireflies] == [f.fitness for f in b.fireflies]
+    assert a.fes_used == b.fes_used == pop + min(spare, 3 * m)
+    assert a.best.fitness == b.best.fitness
+    assert a.best.position.tobytes() == b.best.position.tobytes()
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    if kind == "moving_peaks":
+        first, second = a_obj.change_hook, b_obj.change_hook
+        assert first.evals == second.evals and first.shift_log == second.shift_log
+        assert first.centers.tobytes() == second.centers.tobytes()
+
+
+class _StubRng:
+    """Hands out fixed standard-normal rows."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float)
+
+    def standard_normal(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+@pytest.mark.parametrize(
+    "rows, winner",
+    [
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, -1.0]], [0.5, 0.0]),
+        ([[0.0, 0.0], [0.0, 0.0]], None),
+        # -y and -x tie at 0.25, and the first of them wins
+        ([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]], [0.5, 0.0]),
+    ],
+)
+def test_elitist_move_drops_zero_directions_and_keeps_first_minimum(rows, winner):
+    points = []
+
+    def fn(x):
+        points.append(x.tolist())
+        return float(np.sum(x * x))
+
+    obj = Objective(dim=2, lower=np.full(2, -1.0), upper=np.full(2, 1.0), eval=fn)
+    params = FaParams(pop_size=1, max_fes=100)
+    state = SwarmState(fireflies=[Firefly(np.array([0.5, 0.5]), 0.5)], t=0, fes_used=1,
+                       best=Firefly(np.array([0.5, 0.5]), 0.5), rng=_StubRng(rows))
+    elitist_best_move(state, len(rows), params, obj, alpha=0.25)
+    # zero rows are dropped unevaluated and uncharged; the rest probe a
+    # displacement of 0.25 * width 2 from (0.5, 0.5)
+    kept = [u for u in rows if any(u)]
+    assert points == [[0.5 + 0.5 * u[0], 0.5 + 0.5 * u[1]] for u in kept]
+    assert state.fes_used == 1 + len(kept)
+    assert state.fireflies[0].position.tolist() == (winner or [0.5, 0.5])
+    assert state.best.position.tolist() == (winner or [0.5, 0.5])
+    assert state.best.fitness == (0.25 if winner else 0.5)
+
+
 # -------------------------------------------------------- global-best pull
 
 
@@ -245,6 +367,15 @@ def test_initialize_multiswarm_validates_layout():
     config = MultiSwarmConfig(num_swarms=2, swarm_size=5, exclusion_radius=0.8, anticonvergence_radius=0.05)
     with pytest.raises(ValueError, match="half the"):
         initialize_multiswarm(obj, params, config, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["exclusion_radius", "anticonvergence_radius"])
+def test_multiswarm_config_rejects_non_finite_radii(name, bad):
+    # a nan exclusion radius parsed, and exclusion could then never fire
+    radii = {"exclusion_radius": 0.1, "anticonvergence_radius": 0.05, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        MultiSwarmConfig(num_swarms=2, swarm_size=2, **radii)
 
 
 def test_multiswarm_rejects_identical_streams():
@@ -575,3 +706,10 @@ def test_penalty_spec_validation():
         PenaltySpec(constraints=(), weight=0.0)
     with pytest.raises(ValueError):
         PenaltySpec(constraints=(), exponent=0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["weight", "exponent"])
+def test_penalty_spec_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PenaltySpec(constraints=(), **{name: bad})
