@@ -11,9 +11,20 @@ import numpy as np
 from .core import _ROW_TWINS, Objective
 
 
+# sphere is a one-row call of its row twin (core._ROW_TWINS), so the sum
+# over d exists once.  Another objective gets a twin when a benchmark
+# workload evaluates it enough to show the gain; four_peaks (math.exp)
+# cannot have one.  Moving peaks has one, MovingPeaks.rows, which splits a
+# batch at the evaluation counts where the landscape shifts.
+def _sphere_rows(x: np.ndarray) -> np.ndarray:
+    return np.sum(x * x, axis=1)
+
+
 def sphere(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(x * x))
+    return float(_sphere_rows(np.asarray(x, dtype=float).reshape(1, -1))[0])
+
+
+_ROW_TWINS.append((sphere, _sphere_rows))
 
 
 def rosenbrock(x: np.ndarray) -> float:
@@ -38,18 +49,6 @@ def griewank(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     k = np.arange(1, x.size + 1, dtype=float)
     return float(1.0 + np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(k))))
-
-
-# sphere's row twin (core._ROW_TWINS): the same numpy sum over d for each
-# row, so the same bits.  Another objective gets a twin when a benchmark
-# workload evaluates it enough to show the gain; four_peaks (math.exp)
-# cannot have one.  Moving peaks has one, MovingPeaks.rows, which splits a
-# batch at the evaluation counts where the landscape shifts.
-def _sphere_rows(x: np.ndarray) -> np.ndarray:
-    return np.sum(x * x, axis=1)
-
-
-_ROW_TWINS.append((sphere, _sphere_rows))
 
 
 def four_peaks(x: np.ndarray) -> float:
@@ -218,6 +217,8 @@ def make_moving_peaks(
         raise ValueError(f"shift_interval must be >= 1 (or None), got {shift_interval}")
     if not (math.isfinite(shift_length) and shift_length > 0):
         raise ValueError(f"shift_length must be finite and > 0, got {shift_length}")
+    if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
+        raise ValueError(f"lower and upper must be finite with lower < upper, got {lower} and {upper}")
     rng = np.random.default_rng(seed)
     lo = np.full(dim, float(lower))
     hi = np.full(dim, float(upper))

@@ -62,8 +62,8 @@ class FaParams:
     max_fes counts objective calls, not generations.
 
     When an explicit alpha_schedule is supplied, its alpha0 governs the
-    run; otherwise a geometric decay schedule with ratio 0.97 is built
-    from alpha.
+    run; otherwise a geometric decay schedule with ScheduleDescriptor's
+    default ratio is built from alpha.
     """
 
     alpha: float = 0.2
@@ -92,9 +92,7 @@ class FaParams:
         if self.update_scheme not in UPDATE_SCHEMES:
             raise ValueError(f"unknown update_scheme {self.update_scheme!r}; expected one of {UPDATE_SCHEMES}")
         if self.alpha_schedule is None:
-            object.__setattr__(
-                self, "alpha_schedule", ScheduleDescriptor(kind="geometric", alpha0=self.alpha, ratio=0.97)
-            )
+            object.__setattr__(self, "alpha_schedule", ScheduleDescriptor(kind="geometric", alpha0=self.alpha))
 
 
 @dataclass(frozen=True)

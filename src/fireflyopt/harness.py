@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -43,7 +44,10 @@ class ExperimentConfig:
     a field without a default is a required key, and the summary echoes
     every field but output_dir as resolved.  elitism and alpha_schedule
     default by variant (elitism off, a geometric schedule), and a
-    multiswarm swarm_size defaults to pop_size // num_swarms.
+    multiswarm swarm_size defaults to pop_size // num_swarms.  Parsing ends
+    by building the first repetition's objective and, for multiswarm, its
+    swarm layout, so the checks of the code that owns them run before any
+    repetition does.
     """
 
     benchmark: str
@@ -115,23 +119,19 @@ class ExperimentConfig:
             if self.num_swarms < 1:
                 raise ValueError(f"malformed value for 'num_swarms': must be >= 1, got {self.num_swarms}")
             if self.swarm_size is None:
-                if self.pop_size % self.num_swarms != 0:
-                    raise ValueError(
-                        "malformed value for 'num_swarms': it must divide pop_size, "
-                        "or set 'swarm_size' explicitly"
-                    )
                 object.__setattr__(self, "swarm_size", self.pop_size // self.num_swarms)
-            self.multiswarm  # validates the layout and radii
-            if self.num_swarms * self.swarm_size != self.pop_size:
-                raise ValueError("num_swarms * swarm_size must equal pop_size")
+        objective = build_objective(self, self.base_seed)
+        if self.multiswarm is not None:
+            initialize_multiswarm(objective, self.params, self.multiswarm, self.base_seed)
 
-    @property
+    @cached_property
     def params(self) -> FaParams:
-        """The run parameters, alpha schedule included."""
-        schedule = ScheduleDescriptor(
-            kind=self.alpha_schedule, alpha0=self.alpha, ratio=self.schedule_ratio, x0=self.schedule_x0
-        )
-        return FaParams(
+        """The run parameters, alpha schedule included.
+
+        FaParams checks its fields before the schedule is built from alpha,
+        so an invalid alpha is named as such.
+        """
+        params = FaParams(
             alpha=self.alpha,
             beta0=self.beta0,
             gamma=self.gamma,
@@ -139,11 +139,14 @@ class ExperimentConfig:
             max_fes=self.max_fes,
             epsilon_kind=self.epsilon_kind,
             update_scheme=self.update_scheme,
-            alpha_schedule=schedule,
             elitism=self.elitism,
         )
+        schedule = ScheduleDescriptor(
+            kind=self.alpha_schedule, alpha0=self.alpha, ratio=self.schedule_ratio, x0=self.schedule_x0
+        )
+        return replace(params, alpha_schedule=schedule)
 
-    @property
+    @cached_property
     def multiswarm(self) -> Optional[MultiSwarmConfig]:
         """The multi-swarm layout, or None when the variant is not multiswarm."""
         if self.variant != "multiswarm":
@@ -315,10 +318,7 @@ def _run_levy(objective: Objective, params: FaParams, config: ExperimentConfig, 
 
 
 def _run_pull(objective: Objective, params: FaParams, config: ExperimentConfig, seed: int) -> RunReport:
-    def pull_sweep(state, objective, params, alpha_t):
-        global_best_pull_step(state, objective, params, alpha=alpha_t)
-
-    return run(objective, params, seed, sweep=pull_sweep)
+    return run(objective, params, seed, sweep=global_best_pull_step)
 
 
 def _run_multiswarm(objective: Objective, params: FaParams, config: ExperimentConfig, seed: int) -> RunReport:
@@ -484,10 +484,10 @@ def compare_variants(configs: list[ExperimentConfig], workers: int = 1) -> str:
     for cfg in configs[1:]:
         if (cfg.benchmark, cfg.dim) != (head.benchmark, head.dim):
             raise ValueError("compared configs must share the same benchmark and dim")
-        if cfg.params.max_fes != head.params.max_fes:
+        if cfg.max_fes != head.max_fes:
             raise ValueError("compared configs must share the same evaluation budget")
     lines = [
-        f"# benchmark={head.benchmark},dim={head.dim},max_fes={head.params.max_fes}",
+        f"# benchmark={head.benchmark},dim={head.dim},max_fes={head.max_fes}",
         ",".join(COMPARE_COLUMNS),
     ]
     for cfg in configs:

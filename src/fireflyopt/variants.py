@@ -311,10 +311,9 @@ def multiswarm_step(
         if log is not None:
             log.append({"event": "change"})
 
-    swarm_params = replace(params, pop_size=config.swarm_size)
     for swarm in swarms:
-        if swarm.fes_used < swarm_params.max_fes:
-            step(swarm, objective, swarm_params)
+        if swarm.fes_used < params.max_fes:
+            step(swarm, objective, params)
 
     # Exclusion: the better of an overlapping pair keeps its ground.
     bests = [s.best for s in swarms]

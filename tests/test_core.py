@@ -767,6 +767,35 @@ def test_row_sweep_matches_scalar_oracle_with_ties(fitness, scheme, elitism):
     _assert_paths_agree(state, obj, params, generations=1)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    pop=st.integers(1, 40),
+    dim=st.integers(1, 12),
+    groups=st.integers(0, 4),
+    scheme=st.sampled_from(SCHEMES),
+    elitism=st.booleans(),
+    kind=st.sampled_from(core.EPSILON_KINDS),
+    levy_lambda=st.one_of(st.none(), st.floats(1.1, 2.9)),
+    gamma=st.sampled_from([0.0, 1.0, 5.0, 100.0]),
+    beta0=st.sampled_from([0.0, 0.4, 1.0]),
+    alpha_t=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_sweep_matches_scalar_oracle_at_random_shapes(
+    pop, dim, groups, scheme, elitism, kind, levy_lambda, gamma, beta0, alpha_t, seed
+):
+    # groups > 0 forces that many tie groups of random sizes for the first
+    # sweep; the second sweep orders by the rastrigin values again
+    fitness = None if groups == 0 else np.random.default_rng(seed).integers(0, groups, pop)
+    obj, state = _sweep_state(pop, dim, seed, fitness)
+    params = FaParams(
+        gamma=gamma, beta0=beta0, pop_size=pop, max_fes=10 * pop, epsilon_kind=kind,
+        update_scheme=scheme, elitism=elitism,
+    )
+    eps_fn = None if levy_lambda is None else (lambda rng, n: levy_step(rng, n, levy_lambda))
+    _assert_paths_agree(state, obj, params, alpha_t, eps_fn)
+
+
 @pytest.mark.parametrize("pop, dim", [(1, core.ROW_SWEEP_MIN_CELLS), (20, core.ROW_SWEEP_MIN_CELLS // 20 - 1)])
 def test_pairwise_sweep_dispatches_on_row_sweep_min_cells(pop, dim, monkeypatch):
     taken = []
@@ -811,6 +840,76 @@ def test_run_uniform_centered_epsilon():
     b = run(obj, params, seed=3)
     assert a.trace == b.trace
     assert a.final_best.fitness < a.trace[0][2]
+
+
+def _sweep_hook(name, m, levy_lambda):
+    """The movement rule of a variant, as run's sweep argument (None: pairwise_sweep)."""
+    if name == "elitist":
+        def elitist(state, objective, params, alpha_t):
+            pairwise_sweep(state, objective, params, alpha_t)
+            elitist_best_move(state, m, params, objective, alpha=alpha_t)
+
+        return elitist
+    if name == "levy":
+        def levy(state, objective, params, alpha_t):
+            pairwise_sweep(state, objective, params, alpha_t, eps_fn=lambda rng, n: levy_step(rng, n, levy_lambda))
+
+        return levy
+    return global_best_pull_step if name == "pull" else None
+
+
+def _objective_factory(name, dim, shift_interval, seed):
+    """A fresh objective per call, so a moving landscape starts over each run."""
+    if name == "moving_peaks":
+        return lambda: make_moving_peaks(peak_count=3, dim=dim, shift_interval=shift_interval, seed=seed)
+    return lambda: lookup(name, 2 if name == "four_peaks" else dim)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(["sphere", "rastrigin", "ackley", "four_peaks", "moving_peaks"]),
+    dim=st.integers(1, 12),
+    pop=st.integers(1, 30),
+    passes=st.integers(1, 8),
+    extra=st.integers(0, 29),
+    alpha=st.floats(0.0, 1.0),
+    beta0=st.floats(0.0, 2.0),
+    gamma=st.floats(0.0, 100.0),
+    kind=st.sampled_from(core.EPSILON_KINDS),
+    scheme=st.sampled_from(SCHEMES),
+    elitism=st.booleans(),
+    schedule=st.sampled_from(["default", "constant", "geometric", "chaotic"]),
+    hook=st.sampled_from(["pairwise", "elitist", "levy", "pull"]),
+    shift_interval=st.one_of(st.none(), st.integers(1, 60)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_invariants_at_random_params(
+    name, dim, pop, passes, extra, alpha, beta0, gamma, kind, scheme, elitism, schedule, hook, shift_interval, seed
+):
+    # in bounds after every step, the budget spent exactly, a best-so-far
+    # trace that never rises, and the same trace from the same seed
+    make = _objective_factory(name, dim, shift_interval, seed)
+    obj = make()
+    params = FaParams(
+        alpha=alpha, beta0=beta0, gamma=gamma, pop_size=pop, max_fes=pop * passes + extra % pop,
+        epsilon_kind=kind, update_scheme=scheme, elitism=elitism,
+        alpha_schedule=None if schedule == "default" else ScheduleDescriptor(schedule, alpha0=alpha, ratio=0.9, x0=0.3),
+    )
+    sweep = _sweep_hook(hook, m=1 + seed % 3, levy_lambda=1.5)
+    state = initialize(obj, params, seed)
+    trace = []
+    while state.fes_used < params.max_fes:
+        step(state, obj, params, sweep=sweep)
+        positions = np.array([fly.position for fly in state.fireflies])
+        assert np.all(positions >= obj.lower) and np.all(positions <= obj.upper)
+        trace.append((state.t - 1, state.fes_used, state.best.fitness))
+    assert state.fes_used == params.max_fes
+    bests = [row[2] for row in trace]
+    assert all(a >= b for a, b in zip(bests, bests[1:]))
+    for _ in range(2):
+        report = run(make(), params, seed, sweep=sweep)
+        assert report.trace == trace and report.fes_total == params.max_fes
+        assert report.final_best.position.tobytes() == state.best.position.tobytes()
 
 
 def test_run_trace_monotone_and_deterministic():

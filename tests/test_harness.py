@@ -201,14 +201,50 @@ def test_parse_rejects_out_of_range_variant_keys(key, value):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("alpha", ".inf"), ("beta0", ".nan"), ("gamma", ".nan"), ("exclusion_radius", ".nan"),
+    [("alpha", ".inf"), ("alpha", "-1"), ("beta0", ".nan"), ("gamma", ".nan"), ("exclusion_radius", ".nan"),
      ("anticonvergence_radius", ".inf")],
 )
 def test_parse_rejects_non_finite_parameters(key, value):
-    # alpha also starts the schedule, whose check (alpha0) runs first
+    # alpha also starts the schedule; FaParams checks it first, by its name
     doc = MINIMAL.replace("variant: base", "variant: multiswarm") + "pop_size: 10\nnum_swarms: 2\n"
-    with pytest.raises(ValueError, match=f"{key}0? must be finite"):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
         parse_config(doc + f"{key}: {value}\n")
+
+
+MOVING = MINIMAL.replace("benchmark: sphere", "benchmark: moving_peaks")
+MULTISWARM = MINIMAL.replace("variant: base", "variant: multiswarm")
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        (MOVING + "peaks_lower: .nan\n", "lower and upper must be finite"),
+        (MOVING + "peaks_upper: .inf\n", "lower and upper must be finite"),
+        (MOVING + "peaks_lower: 200.0\n", "with lower < upper"),
+        (MOVING + "peaks_lower: 5.0\npeaks_upper: 5.0\n", "with lower < upper"),
+        (MOVING + "peak_count: 0\n", "peak_count"),
+        (MOVING + "shift_interval: 0\n", "shift_interval"),
+        (MOVING + "shift_length: .nan\n", "shift_length"),
+        (MINIMAL.replace("sphere", "four_peaks") + "dim: 3\n", "four_peaks is defined only for dim=2"),
+        (MULTISWARM + "dim: 5\nexclusion_radius: 5.0\n", "exclusion_radius 5.0 must be below half"),
+        (MULTISWARM + "pop_size: 40\nnum_swarms: 3\n",
+         r"^num_swarms \* swarm_size must equal pop_size \(3 \* 13 != 40\)$"),
+    ],
+    ids=["lower_nan", "upper_inf", "lower_above_upper", "equal_bounds", "peak_count", "shift_interval",
+         "shift_length", "four_peaks_dim3", "exclusion_radius", "indivisible_pop_size"],
+)
+def test_parse_runs_the_checks_of_the_objective_and_swarm_layout(doc, match):
+    # each parsed and failed only in the first repetition, some with an
+    # error naming no key; an indivisible pop_size advised a swarm_size that
+    # no value satisfies
+    with pytest.raises(ValueError, match=match):
+        parse_config(doc)
+
+
+def test_config_builds_params_and_multiswarm_once():
+    config = parse_config(MULTISWARM + "pop_size: 10\nnum_swarms: 2\n")
+    assert config.params is config.params
+    assert config.multiswarm is config.multiswarm
 
 
 def test_parse_rejects_non_mapping():

@@ -34,6 +34,7 @@ from fireflyopt import (
     step,
 )
 from fireflyopt.core import _row_twin
+from fireflyopt.harness import run_multiswarm
 from fireflyopt.variants import _exclusion_victims, _pair_distances, _swarm_diameter
 
 
@@ -506,6 +507,63 @@ def test_multiswarm_batch_path_matches_per_point_path(num_swarms, swarm_size, se
     assert first.evals == second.evals and first.shift_log == second.shift_log
     assert first.centers.tobytes() == second.centers.tobytes()
     assert first.rng.bit_generator.state == second.rng.bit_generator.state
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    num_swarms=st.integers(1, 4),
+    swarm_size=st.integers(1, 6),
+    sentinel_count=st.integers(0, 3),
+    dim=st.integers(1, 5),
+    dynamic=st.booleans(),
+    shift_interval=st.integers(1, 40),
+    passes=st.integers(1, 10),
+    extra=st.integers(0, 23),
+    alpha=st.floats(0.0, 1.0),
+    gamma=st.floats(0.0, 100.0),
+    scheme=st.sampled_from(["asynchronous", "synchronous"]),
+    exclusion_radius=st.floats(0.01, 0.45),
+    anticonvergence_radius=st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multiswarm_run_invariants(num_swarms, swarm_size, sentinel_count, dim, dynamic, shift_interval, passes,
+                                   extra, alpha, gamma, scheme, exclusion_radius, anticonvergence_radius, seed):
+    # in bounds after every generation, a generation spends at most its
+    # probes and passes (twice that on a detected change), so the budget is
+    # overshot by less than one generation, and the same seed gives the
+    # same run
+    pop = num_swarms * swarm_size
+    params = FaParams(alpha=alpha, gamma=gamma, pop_size=pop, max_fes=pop * passes + extra % pop,
+                      update_scheme=scheme)
+    config = MultiSwarmConfig(num_swarms, swarm_size, exclusion_radius, anticonvergence_radius, sentinel_count)
+
+    def make():
+        return make_moving_peaks(peak_count=3, dim=dim, shift_interval=shift_interval if dynamic else None, seed=seed)
+
+    obj = make()
+    swarms = initialize_multiswarm(obj, params, config, seed)
+    sentinels = make_sentinels(obj, sentinel_count, seed + 1)
+    total = 0
+    while total < params.max_fes:
+        log = []
+        multiswarm_step(swarms, config, obj, params, sentinels, log=log)
+        spent = sum(s.fes_used for s in swarms) - total
+        total += spent
+        passes_run = 2 if any(event["event"] == "change" for event in log) else 1
+        assert 0 < spent <= passes_run * (pop + sentinel_count)
+        positions = np.array([fly.position for s in swarms for fly in s.fireflies])
+        assert np.all(positions >= obj.lower) and np.all(positions <= obj.upper)
+    assert total - params.max_fes < passes_run * (pop + sentinel_count)
+
+    runs = [run_multiswarm(make(), params, config, seed) for _ in range(2)]
+    (report, events), (again, events_again) = runs
+    assert report.trace == again.trace and events == events_again
+    assert report.final_best.position.tobytes() == again.final_best.position.tobytes()
+    assert report.fes_total == report.trace[-1][1] >= params.max_fes
+    assert len(report.trace) == 1 or report.trace[-2][1] < params.max_fes
+    last = len(report.trace) - 1
+    passes_run = 2 if any(e["event"] == "change" and e["generation"] == last for e in events) else 1
+    assert report.fes_total - params.max_fes < passes_run * (pop + sentinel_count)
 
 
 def test_sentinel_probes_are_charged_round_robin():
