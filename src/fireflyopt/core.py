@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 from types import MethodType
 from typing import Callable, Optional, Sequence
 
@@ -32,7 +34,7 @@ UPDATE_SCHEMES = ("asynchronous", "synchronous")
 # pop * dim from which pairwise_sweep batches its moves across rows
 # (_sweep_rows); below it the per-step numpy overhead outweighs the Python
 # float operations it saves.  Measured crossover: see the README.
-ROW_SWEEP_MIN_CELLS = 200
+ROW_SWEEP_MIN_CELLS = 300
 
 
 class EvaluationError(RuntimeError):
@@ -358,12 +360,12 @@ def pairwise_sweep(
 
     Two implementations give the same positions and leave the random
     stream in the same state, bit for bit: _sweep_scalar runs the moves on
-    plain Python floats, one firefly at a time; _sweep_rows makes the same
-    moves in the same per-element order but batches each step across rows
-    with numpy.  The row path is taken when pop * dim reaches
-    ROW_SWEEP_MIN_CELLS.  Below that its per-step numpy overhead costs more
-    than it saves, so the scalar loop stays for small shapes (the paper-scale
-    ones) and serves as the row path's oracle in the tests.
+    plain Python floats, one firefly at a time, in a kernel compiled per
+    dim; _sweep_rows makes the same moves in the same per-element order but
+    batches each step across rows with numpy.  The row path is taken when
+    pop * dim reaches ROW_SWEEP_MIN_CELLS.  Below that its per-step numpy
+    overhead costs more than it saves, so the scalar kernel stays for small
+    shapes (the paper-scale ones).
     """
     if len(state.fireflies) * objective.dim >= ROW_SWEEP_MIN_CELLS:
         _sweep_rows(state, objective, params, alpha_t, eps_fn)
@@ -371,93 +373,87 @@ def pairwise_sweep(
         _sweep_scalar(state, objective, params, alpha_t, eps_fn)
 
 
+# The scalar sweep for one dim, its loops over d unrolled into locals: p0, p1,
+# ... the moving firefly, a.. a peer, d.. their difference, n.. its normalized
+# form, e.. the random step, c.. the synchronous sums; bounds gives l.., h.. and
+# w.. (lower, upper, 1/width).  {p} and the like expand to "p0, p1, ...", {r2}
+# to "n0 * n0 + n1 * n1 + ...", and a run of @ lines at one indent repeats per d.
+_SWEEP_TEMPLATE = """\
+def sweep(pos, counts, next_step, bounds, beta0, ng, elitism, synchronous, exp):
+    {l}, {h}, {w}, = bounds
+    out = []
+    for row, ci in zip(pos, counts):
+        if ci == 0 and elitism:
+            out.append(row)
+            continue
+        {p}, = row
+        if ci == 0:
+            {e}, = next_step()
+            @v = p{d} + e{d}
+            @p{d} = l{d} if v < l{d} else h{d} if v > h{d} else v
+        elif synchronous:
+            @c{d} = 0.0
+            for j in range(ci):
+                {a}, = pos[j]
+                @d{d} = a{d} - p{d}
+                @n{d} = d{d} * w{d}
+                beta = beta0 * exp(ng * ({r2}))
+                {e}, = next_step()
+                @c{d} += beta * d{d} + e{d}
+            @v = p{d} + c{d}
+            @p{d} = l{d} if v < l{d} else h{d} if v > h{d} else v
+        else:
+            for j in range(ci):
+                {a}, = out[j]
+                @d{d} = a{d} - p{d}
+                @n{d} = d{d} * w{d}
+                beta = beta0 * exp(ng * ({r2}))
+                {e}, = next_step()
+                @v = p{d} + beta * d{d} + e{d}
+                @p{d} = l{d} if v < l{d} else h{d} if v > h{d} else v
+        out.append([{p}])
+    return out
+"""
+
+
+# unbounded, but pairwise_sweep asks only for dims below ROW_SWEEP_MIN_CELLS
+@lru_cache(maxsize=None)
+def _sweep_kernel(dim: int) -> Callable:
+    """_SWEEP_TEMPLATE compiled for dim; it interpolates only integers from range(dim)."""
+    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+        raise ValueError(f"dim must be an int >= 1, got {dim!r}")
+    dims = range(dim)
+    fields = {name: ", ".join(f"{name}{d}" for d in dims) for name in "lhwpeca"}
+    fields["r2"] = " + ".join(f"n{d} * n{d}" for d in dims)
+    lines = []
+    for at, group in groupby(_SWEEP_TEMPLATE.splitlines(), key=lambda line: line.find("@")):
+        if at < 0:
+            lines += [line.format(**fields) for line in group]
+        else:
+            group = [line.replace("@", "") for line in group]
+            lines += [line.format(d=d) for d in dims for line in group]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<sweep kernel, dim {dim}>", "exec"), namespace)
+    return namespace["sweep"]
+
+
 def _sweep_scalar(state, objective, params, alpha_t, eps_fn) -> None:
-    """pairwise_sweep on plain Python floats: the hot path at small shapes."""
-    flies = state.fireflies
-    pop = len(flies)
-    dim = objective.dim
-    lo = objective.lower.tolist()
-    hi = objective.upper.tolist()
-    width = [h - l for l, h in zip(lo, hi)]
-    inv_w = [1.0 / wd for wd in width]
-    aw = [alpha_t * wd for wd in width]
+    """pairwise_sweep on plain Python floats, in the kernel for objective.dim: the small-shape path."""
+    flies, width = state.fireflies, objective.width
     fit = [f.fitness for f in flies]
     # After sorting, the strictly brighter peers of firefly i are exactly
     # the prefix before its tie group.
-    counts = [bisect_left(fit, fit[i]) for i in range(pop)]
-    walkers = 0 if params.elitism else sum(1 for c in counts if c == 0)
-    eps = _draw_eps_rows(state.rng, sum(counts) + walkers, dim, params.epsilon_kind, eps_fn).tolist()
-
-    pos = [f.position.tolist() for f in flies]
-    synchronous = params.update_scheme == "synchronous"
-    snap = [row[:] for row in pos] if synchronous else None
-    elitism = params.elitism
-    gamma = params.gamma
-    beta0 = params.beta0
-    exp = math.exp
-    dims = range(dim)
-    diff = [0.0] * dim
-    k = 0
-
-    for i in range(pop):
-        ci = counts[i]
-        pi = pos[i]
-        if ci == 0:
-            if elitism:
-                continue
-            ek = eps[k]
-            k += 1
-            for d in dims:
-                v = pi[d] + aw[d] * ek[d]
-                if v < lo[d]:
-                    v = lo[d]
-                elif v > hi[d]:
-                    v = hi[d]
-                pi[d] = v
-        elif synchronous:
-            si = snap[i]
-            acc = [0.0] * dim
-            for j in range(ci):
-                sj = snap[j]
-                r2 = 0.0
-                for d in dims:
-                    dd = sj[d] - si[d]
-                    diff[d] = dd
-                    nd = dd * inv_w[d]
-                    r2 += nd * nd
-                beta = beta0 * exp(-gamma * r2)
-                ek = eps[k]
-                k += 1
-                for d in dims:
-                    acc[d] += beta * diff[d] + aw[d] * ek[d]
-            for d in dims:
-                v = si[d] + acc[d]
-                if v < lo[d]:
-                    v = lo[d]
-                elif v > hi[d]:
-                    v = hi[d]
-                pi[d] = v
-        else:
-            for j in range(ci):
-                pj = pos[j]
-                r2 = 0.0
-                for d in dims:
-                    dd = pj[d] - pi[d]
-                    diff[d] = dd
-                    nd = dd * inv_w[d]
-                    r2 += nd * nd
-                beta = beta0 * exp(-gamma * r2)
-                ek = eps[k]
-                k += 1
-                for d in dims:
-                    v = pi[d] + beta * diff[d] + aw[d] * ek[d]
-                    if v < lo[d]:
-                        v = lo[d]
-                    elif v > hi[d]:
-                        v = hi[d]
-                    pi[d] = v
-
-    for fly, row in zip(flies, pos):
+    counts = [bisect_left(fit, value) for value in fit]
+    walkers = 0 if params.elitism else counts.count(0)
+    eps = _draw_eps_rows(state.rng, sum(counts) + walkers, objective.dim, params.epsilon_kind, eps_fn)
+    # steps: (alpha_t * width) * eps, one rounding per element, as dim-tuples cut from one flat list
+    next_step = zip(*[iter((eps * (alpha_t * width)).ravel().tolist())] * objective.dim).__next__
+    bounds = np.concatenate([objective.lower, objective.upper, 1.0 / width]).tolist()
+    rows = _sweep_kernel(objective.dim)(
+        [f.position.tolist() for f in flies], counts, next_step, bounds, params.beta0, -params.gamma,
+        params.elitism, params.update_scheme == "synchronous", math.exp,
+    )
+    for fly, row in zip(flies, rows):
         fly.position = np.asarray(row, dtype=float)
 
 

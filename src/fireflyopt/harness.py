@@ -119,6 +119,11 @@ class ExperimentConfig:
             if self.num_swarms < 1:
                 raise ValueError(f"malformed value for 'num_swarms': must be >= 1, got {self.num_swarms}")
             if self.swarm_size is None:
+                if self.num_swarms > self.pop_size:
+                    raise ValueError(
+                        f"malformed value for 'num_swarms': must not exceed pop_size ({self.pop_size}) "
+                        f"when swarm_size is not set, got {self.num_swarms}"
+                    )
                 object.__setattr__(self, "swarm_size", self.pop_size // self.num_swarms)
         objective = build_objective(self, self.base_seed)
         if self.multiswarm is not None:
@@ -363,10 +368,7 @@ def summarize(reports: list[RunReport], optimum_value: Optional[float], threshol
         hits = [r for r in reports if r.final_best.fitness <= bar]
         success_rate = len(hits) / len(reports)
         if hits:
-            firsts = []
-            for r in hits:
-                firsts.append(next(fes for _, fes, best in r.trace if best <= bar))
-            mean_fes = float(np.mean(firsts))
+            mean_fes = float(np.mean([next(fes for _, fes, best in r.trace if best <= bar) for r in hits]))
     return SummaryStats(
         mean_best=float(np.mean(finals)),
         std_best=float(np.std(finals)),

@@ -126,8 +126,9 @@ def elitist_best_move(
     w = objective.width
     dirs = state.rng.standard_normal((trials, objective.dim))
     norms = np.array([float(np.linalg.norm(u)) for u in dirs])
-    keep = norms != 0.0
-    points = best.position + alpha * w * (dirs[keep] / norms[keep, None])
+    if not norms.all():
+        dirs, norms = dirs[norms != 0.0], norms[norms != 0.0]
+    points = best.position + alpha * w * (dirs / norms[:, None])
     np.clip(points, objective.lower, objective.upper, out=points)
     state.fes_used += len(points)
     values = checked_rows(objective, points)

@@ -3,12 +3,18 @@
 import contextlib
 import copy
 import functools
+import io
 import math
+import re
+import threading
+import time
+import tokenize
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweep_oracle import sweep_scalar
 
 from fireflyopt import core
 from fireflyopt import (
@@ -713,13 +719,16 @@ def _sweep_bytes(state):
     return [fly.position.tobytes() for fly in state.fireflies], state.rng.bit_generator.state
 
 
-def _assert_paths_agree(state, obj, params, alpha_t=0.3, eps_fn=None, generations=2):
-    scalar, rows = state, copy.deepcopy(state)
+def _assert_paths_agree(state, obj, params, alpha_t=0.3, eps_fn=None, generations=2,
+                        paths=(core._sweep_scalar, core._sweep_rows)):
+    """Each sweep path against the hand-written loop in sweep_oracle, byte for byte."""
+    oracle, copies = state, [copy.deepcopy(state) for _ in paths]
     for _ in range(generations):
-        core._sweep_scalar(scalar, obj, params, alpha_t, eps_fn)
-        core._sweep_rows(rows, obj, params, alpha_t, eps_fn)
-        assert _sweep_bytes(rows) == _sweep_bytes(scalar)
-        for s in (scalar, rows):
+        sweep_scalar(oracle, obj, params, alpha_t, eps_fn)
+        for path, s in zip(paths, copies):
+            path(s, obj, params, alpha_t, eps_fn)
+            assert _sweep_bytes(s) == _sweep_bytes(oracle), path.__name__
+        for s in (oracle, *copies):
             for fly in s.fireflies:
                 fly.fitness = obj.eval(fly.position)
             order(s)
@@ -794,6 +803,135 @@ def test_row_sweep_matches_scalar_oracle_at_random_shapes(
     )
     eps_fn = None if levy_lambda is None else (lambda rng, n: levy_step(rng, n, levy_lambda))
     _assert_paths_agree(state, obj, params, alpha_t, eps_fn)
+
+
+# paper-scale shapes, and narrow ones (pop 1-7) up to the largest pop * dim
+# below ROW_SWEEP_MIN_CELLS, such as 2 x 149
+_KERNEL_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 40), st.integers(1, 24)),
+    st.integers(1, 7).flatmap(
+        lambda pop: st.tuples(st.just(pop), st.integers(25, (core.ROW_SWEEP_MIN_CELLS - 1) // pop))
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    shape=_KERNEL_SHAPES,
+    groups=st.integers(0, 4),
+    on_bounds=st.sampled_from([0.0, 0.3, 1.0]),
+    scheme=st.sampled_from(SCHEMES),
+    elitism=st.booleans(),
+    kind=st.sampled_from(core.EPSILON_KINDS),
+    levy_lambda=st.one_of(st.none(), st.floats(1.1, 2.9)),
+    gamma=st.sampled_from([0.0, 1.0, 5.0, 100.0]),
+    beta0=st.sampled_from([0.0, 0.4, 1.0]),
+    alpha_t=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_kernel_matches_scalar_oracle(
+    shape, groups, on_bounds, scheme, elitism, kind, levy_lambda, gamma, beta0, alpha_t, seed
+):
+    # groups > 0 forces tie groups for the first sweep; on_bounds is the
+    # share of coordinates put exactly on a bound before it
+    pop, dim = shape
+    draw = np.random.default_rng(seed)
+    fitness = None if groups == 0 else draw.integers(0, groups, pop)
+    obj, state = _sweep_state(pop, dim, seed, fitness)
+    for fly in state.fireflies:
+        pinned = draw.random(dim) < on_bounds
+        fly.position[pinned] = np.where(draw.random(dim) < 0.5, obj.lower, obj.upper)[pinned]
+    params = FaParams(
+        gamma=gamma, beta0=beta0, pop_size=pop, max_fes=10 * pop, epsilon_kind=kind,
+        update_scheme=scheme, elitism=elitism,
+    )
+    eps_fn = None if levy_lambda is None else (lambda rng, n: levy_step(rng, n, levy_lambda))
+    _assert_paths_agree(state, obj, params, alpha_t, eps_fn, paths=(core._sweep_scalar,))
+
+
+def _spy_compile(monkeypatch, delay=0.0):
+    """Record each source that core compiles; compile it after delay seconds."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        time.sleep(delay)
+        return compile(source, *args)
+
+    core._sweep_kernel.cache_clear()
+    monkeypatch.setattr(core, "compile", spy, raising=False)
+    return sources
+
+
+def test_sweep_kernel_compiles_once_per_dim(monkeypatch):
+    sources = _spy_compile(monkeypatch)
+    for dim in (3, 4):
+        for scheme in SCHEMES:
+            for elitism in (False, True):
+                obj, state = _sweep_state(6, dim, seed=dim)
+                params = FaParams(gamma=2.0, pop_size=6, max_fes=60, update_scheme=scheme, elitism=elitism)
+                for _ in range(3):
+                    pairwise_sweep(state, obj, params, 0.2)
+    assert len(sources) == 2
+    assert core._sweep_kernel(3) is core._sweep_kernel(3)
+    assert len(sources) == 2
+    # a numpy integer dim is accepted; lru_cache keys it apart from the int
+    core._sweep_kernel(np.int64(5))
+    assert len(sources) == 3
+
+
+def _source_tokens(source):
+    return [(tok.type, tok.string) for tok in tokenize.generate_tokens(io.StringIO(source).readline)]
+
+
+@pytest.mark.parametrize("dim", [2, 5, 17, 299])
+def test_sweep_kernel_interpolates_only_indices_from_range_dim(dim, monkeypatch):
+    # The kernel's source is a function of dim alone (no parameter, bound or
+    # other config value reaches it): next to dim 1's source it differs only
+    # in the integer suffixes of names, and every suffix lies in range(dim).
+    sources = _spy_compile(monkeypatch)
+    core._sweep_kernel(1)
+    core._sweep_kernel(dim)
+    one, many = (_source_tokens(source) for source in sources)
+    assert not [tok for tok in one + many if tok[0] == tokenize.STRING]
+    indexed = [re.fullmatch(r"([a-z]+)(\d+)", string) for kind, string in many if kind == tokenize.NAME]
+    assert {int(m[2]) for m in indexed if m} == set(range(dim))
+
+    def stems(tokens):
+        return {(kind, re.sub(r"(?<=[a-z])\d+$", "", string) if kind == tokenize.NAME else string)
+                for kind, string in tokens}
+
+    assert stems(one) == stems(many)
+
+
+@pytest.mark.parametrize("dim", [0, -1, 2.0, "3", True, None])
+def test_sweep_kernel_rejects_a_dim_that_is_not_a_positive_int(dim):
+    with pytest.raises(ValueError, match="dim must be an int >= 1"):
+        core._sweep_kernel(dim)
+
+
+def test_sweep_kernel_first_call_from_two_threads(monkeypatch):
+    # both threads reach the compile for a new dim together (the compile
+    # waits), and both get the oracle's positions
+    _spy_compile(monkeypatch, delay=0.05)
+    obj, state = _sweep_state(12, 7, seed=4)
+    params = FaParams(pop_size=12, max_fes=120)
+    expected = copy.deepcopy(state)
+    sweep_scalar(expected, obj, params, 0.3, None)
+    copies = [copy.deepcopy(state) for _ in range(2)]
+    barrier = threading.Barrier(len(copies))
+
+    def sweep(s):
+        barrier.wait()
+        core._sweep_scalar(s, obj, params, 0.3, None)
+
+    threads = [threading.Thread(target=sweep, args=(s,)) for s in copies]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for s in copies:
+        assert _sweep_bytes(s) == _sweep_bytes(expected)
 
 
 @pytest.mark.parametrize("pop, dim", [(1, core.ROW_SWEEP_MIN_CELLS), (20, core.ROW_SWEEP_MIN_CELLS // 20 - 1)])

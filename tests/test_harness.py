@@ -181,6 +181,14 @@ def test_parse_multiswarm_layout():
         parse_config(MINIMAL.replace("variant: base", "variant: multiswarm") + "pop_size: 25\nnum_swarms: 4\n")
 
 
+def test_parse_rejects_more_swarms_than_pop_size():
+    # the derived swarm_size was 0, and the error named that key, which the
+    # document never set
+    doc = MINIMAL.replace("variant: base", "variant: multiswarm") + "pop_size: 4\nnum_swarms: 5\n"
+    with pytest.raises(ValueError, match=r"^malformed value for 'num_swarms': must not exceed pop_size \(4\)"):
+        parse_config(doc)
+
+
 @pytest.mark.parametrize("num_swarms", [0, -2])
 def test_parse_rejects_non_positive_num_swarms(num_swarms):
     doc = MINIMAL.replace("variant: base", "variant: multiswarm") + f"num_swarms: {num_swarms}\n"
