@@ -65,14 +65,14 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path to a flat key/value config")
     p_run.add_argument("--out", default=None, help="output directory (overrides output_dir)")
     p_run.add_argument("--seed", type=int, default=None, help="override base_seed")
-    p_run.add_argument("--workers", type=int, default=1, help="concurrent repetitions")
+    p_run.add_argument("--workers", type=int, default=1, help="cap on parallel repetitions (>= 1); in order today")
     p_run.set_defaults(fn=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="tabulate several configs on one benchmark")
     p_cmp.add_argument("--configs", nargs="+", required=True, help="config file paths")
     p_cmp.add_argument("--out", default=None, help="also write compare.csv here")
     p_cmp.add_argument("--seed", type=int, default=None, help="override base_seed for all configs")
-    p_cmp.add_argument("--workers", type=int, default=1, help="concurrent repetitions")
+    p_cmp.add_argument("--workers", type=int, default=1, help="cap on parallel repetitions (>= 1); in order today")
     p_cmp.set_defaults(fn=_cmd_compare)
 
     p_ls = sub.add_parser("list-benchmarks", help="print the benchmark identifiers")

@@ -2,15 +2,15 @@
 
 A config is a flat key/value document (YAML subset).  Repetition r always
 runs with seed base_seed + r, so experiments are reproducible end to end:
-the same config yields byte-identical output files, whether repetitions
-run sequentially or concurrently.
+the same config yields byte-identical output files for every workers count.
+Repetitions run in seed order on the calling thread: the search loop holds
+the interpreter lock, so threads would not overlap.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -90,6 +90,8 @@ class ExperimentConfig:
             )
         if self.repetitions < 1:
             raise ValueError("malformed value for 'repetitions': must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"malformed value for 'base_seed': must be >= 0, got {self.base_seed}")
         if self.dim < 1:
             raise ValueError(f"malformed value for 'dim': must be >= 1, got {self.dim}")
         if self.elitist_trials < 0:
@@ -382,18 +384,13 @@ def summarize(reports: list[RunReport], optimum_value: Optional[float], threshol
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[SummaryStats, list[RunReport]]:
     """All repetitions of one experiment; repetition r uses seed base_seed + r.
 
-    Repetitions are independent, so workers > 1 executes them concurrently;
-    results are aggregated in repetition order either way and the outputs
-    are identical.
+    workers (>= 1) is the cap that process-parallel repetitions will honour.
+    Today it does not change how repetitions run: they run in seed order on
+    the calling thread, so the outputs are the same for every workers count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    seeds = [config.base_seed + r for r in range(config.repetitions)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda s: run_single(config, s), seeds))
-    else:
-        reports = [run_single(config, s) for s in seeds]
+    reports = [run_single(config, config.base_seed + r) for r in range(config.repetitions)]
     stats = summarize(reports, _optimum_value(config), config.success_threshold)
     return stats, reports
 

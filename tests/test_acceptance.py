@@ -2,8 +2,14 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute.  Empirical criteria use pinned seed sets and pinned pass
-floors; they are regression checks, not statistical estimates.
+floors; they are regression checks, not statistical estimates.  The 30-seed
+criteria map their seeds through two worker processes: seeds are independent,
+and the per-seed helpers are module-level so that the workers can run them.
 """
+
+import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 from reduction_oracles import oracle_positions
@@ -38,6 +44,12 @@ def report(criterion: int, description: str, passed: bool, detail: str = ""):
     suffix = f" ({detail})" if detail else ""
     print(f"[acceptance {criterion}] {marker}: {description}{suffix}")
     assert passed, f"criterion {criterion}: {description}{suffix}"
+
+
+def over_seeds(per_seed):
+    """per_seed(seed) for seeds 0-29, in seed order, on up to two worker processes."""
+    with ProcessPoolExecutor(min(2, os.cpu_count())) as pool:
+        return list(pool.map(per_seed, range(30)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +164,12 @@ def _single_linkage_peak_count(fireflies, radius=0.5):
     return len(hit)
 
 
+def _subdivided(params, seed):
+    """(coverage, single-linkage) subdivision of one four-peaks run's final population."""
+    population = _final_population(lookup("four_peaks", 2), params, seed)
+    return _peaks_covered(population) >= 2, _single_linkage_peak_count(population) >= 2
+
+
 def test_criterion_3_multimodal_subdivision_as_pinned():
     """Population spreads over >= 2 minima in >= 15 of 30 runs at gamma=1.
 
@@ -177,21 +195,21 @@ def test_criterion_3_multimodal_subdivision_as_pinned():
     # Square box: width[0] is the width of every dimension.
     engine_gamma = cartesian_gamma * float(obj.width[0]) ** 2
     params = FaParams(pop_size=40, max_fes=20_000, gamma=engine_gamma)
-    populations = [_final_population(obj, params, seed) for seed in range(30)]
-    coverage_hits = sum(_peaks_covered(pop) >= 2 for pop in populations)
-    linkage_hits = sum(_single_linkage_peak_count(pop) >= 2 for pop in populations)
+    splits = over_seeds(partial(_subdivided, params))
+    coverage_hits = sum(coverage for coverage, _ in splits)
+    linkage_hits = sum(linkage for _, linkage in splits)
     report(3, f"multi-modal subdivision at gamma=1 Cartesian (engine gamma {params.gamma:g}) (>= 15/30)",
            coverage_hits >= 15 and linkage_hits >= 15,
            f"coverage {coverage_hits}/30, single-linkage {linkage_hits}/30")
 
 
+def _sphere_hit(seed):
+    return run(lookup("sphere", 5), FaParams(), seed).final_best.fitness < 1e-2
+
+
 def test_criterion_4_convergence_sanity_sphere():
     """Sphere dim 5, defaults, 50k evaluations: best < 1e-2 in >= 24 of 30 seeds."""
-    obj = lookup("sphere", 5)
-    params = FaParams()
-    hits = 0
-    for seed in range(30):
-        hits += run(obj, params, seed).final_best.fitness < 1e-2
+    hits = sum(over_seeds(_sphere_hit))
     report(4, "sphere dim=5 reaches 1e-2 (>= 24/30)", hits >= 24, f"{hits}/30")
 
 
@@ -218,40 +236,43 @@ def test_criterion_5_elitist_curves_monotone(tmp_path):
     report(5, "all emitted curves monotone under elitism", ok, f"{checked} curves over {len(benchmarks)}x{len(variants)} matrix")
 
 
-def test_criterion_6_dynamic_response():
-    """Moving peaks: every shift detected within one sentinel cycle and
-    best recovers to within 2x of the pre-change best inside 3000
-    evaluations, in >= 20 of 30 seeds."""
+def _dynamic_response_ok(seed):
+    """Whether one moving-peaks run detects every shift in time and recovers from it."""
     config = MultiSwarmConfig(num_swarms=5, swarm_size=8, exclusion_radius=0.1,
                               anticonvergence_radius=0.05, sentinel_count=2)
     params = FaParams(pop_size=40, max_fes=18_000, alpha=0.2,
                       alpha_schedule=ScheduleDescriptor("constant", alpha0=0.2))
-    good = 0
-    for seed in range(30):
-        objective = make_moving_peaks(peak_count=5, dim=2, shift_interval=5_000, shift_length=10.0,
-                                      seed=np.random.SeedSequence(seed, spawn_key=(2,)))
-        rep, events = run_multiswarm(objective, params, config, seed)
-        detections = [e["generation"] for e in events if e["event"] == "change"]
-        used = set()
-        seed_ok = True
-        for shift_at in objective.change_hook.shift_log:
-            shift_gen = next((g for g, fes, _ in rep.trace if fes >= shift_at), None)
-            if shift_gen is None or shift_gen >= rep.trace[-1][0]:
-                continue  # no sentinel cycle remains inside the budget
-            found = next((d for d in detections if d not in used and shift_gen <= d <= shift_gen + 1), None)
-            if found is None:
-                seed_ok = False
-                continue
-            used.add(found)
-            pre_rows = [best for _, fes, best in rep.trace if fes <= shift_at]
-            if not pre_rows or pre_rows[-1] >= 0:
-                seed_ok = False
-                continue
-            bar = pre_rows[-1] / 2.0
-            recovered = any(best <= bar for _, fes, best in rep.trace
-                            if shift_at < fes <= shift_at + 3_000)
-            seed_ok &= recovered
-        good += seed_ok
+    objective = make_moving_peaks(peak_count=5, dim=2, shift_interval=5_000, shift_length=10.0,
+                                  seed=np.random.SeedSequence(seed, spawn_key=(2,)))
+    rep, events = run_multiswarm(objective, params, config, seed)
+    detections = [e["generation"] for e in events if e["event"] == "change"]
+    used = set()
+    seed_ok = True
+    for shift_at in objective.change_hook.shift_log:
+        shift_gen = next((g for g, fes, _ in rep.trace if fes >= shift_at), None)
+        if shift_gen is None or shift_gen >= rep.trace[-1][0]:
+            continue  # no sentinel cycle remains inside the budget
+        found = next((d for d in detections if d not in used and shift_gen <= d <= shift_gen + 1), None)
+        if found is None:
+            seed_ok = False
+            continue
+        used.add(found)
+        pre_rows = [best for _, fes, best in rep.trace if fes <= shift_at]
+        if not pre_rows or pre_rows[-1] >= 0:
+            seed_ok = False
+            continue
+        bar = pre_rows[-1] / 2.0
+        recovered = any(best <= bar for _, fes, best in rep.trace
+                        if shift_at < fes <= shift_at + 3_000)
+        seed_ok &= recovered
+    return seed_ok
+
+
+def test_criterion_6_dynamic_response():
+    """Moving peaks: every shift detected within one sentinel cycle and
+    best recovers to within 2x of the pre-change best inside 3000
+    evaluations, in >= 20 of 30 seeds."""
+    good = sum(over_seeds(_dynamic_response_ok))
     report(6, "shift detection within one cycle and 2x recovery within 3000 evals (>= 20/30)",
            good >= 20, f"{good}/30")
 
@@ -282,16 +303,17 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
     report(7, "byte-identical outputs across repeats and concurrency", ok)
 
 
-def test_criterion_8_penalty_drives_to_constrained_optimum():
-    """Penalized sphere reaches the boundary optimum (1, 0) within 1e-1 in >= 24 of 30 seeds."""
+def _constrained_hit(seed):
+    # the constraint is a lambda, so each worker builds the objective itself
     objective = penalty_wrap(
         lookup("sphere", 2),
         PenaltySpec(constraints=(lambda x: 1.0 - x[0],), weight=1e3, exponent=2.0),
     )
-    params = FaParams(pop_size=25, max_fes=10_000)
-    target = np.array([1.0, 0.0])
-    hits = 0
-    for seed in range(30):
-        rep = run(objective, params, seed)
-        hits += float(np.linalg.norm(rep.final_best.position - target)) <= 1e-1
+    rep = run(objective, FaParams(pop_size=25, max_fes=10_000), seed)
+    return float(np.linalg.norm(rep.final_best.position - np.array([1.0, 0.0]))) <= 1e-1
+
+
+def test_criterion_8_penalty_drives_to_constrained_optimum():
+    """Penalized sphere reaches the boundary optimum (1, 0) within 1e-1 in >= 24 of 30 seeds."""
+    hits = sum(over_seeds(_constrained_hit))
     report(8, "constrained optimum reached at weight 1e3 (>= 24/30)", hits >= 24, f"{hits}/30")

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +18,7 @@ from fireflyopt import (
     RunReport,
     SummaryStats,
     benchmark_names,
+    harness,
     parse_config,
     run_experiment,
 )
@@ -80,6 +82,14 @@ def test_parse_rejects_malformed_value():
 def test_parse_requires_keys():
     with pytest.raises(ValueError, match="base_seed"):
         parse_config("benchmark: sphere\nvariant: base\nrepetitions: 3\n")
+
+
+@pytest.mark.parametrize("name", ["sphere", "moving_peaks"])
+def test_parse_rejects_negative_base_seed(name):
+    # before the check, sphere parsed and failed in the first repetition, and
+    # moving_peaks failed inside the parse, both with numpy's unnamed message
+    with pytest.raises(ValueError, match="'base_seed'"):
+        parse_config(f"benchmark: {name}\nvariant: base\nrepetitions: 1\nbase_seed: -1\n")
 
 
 def test_parse_gamma_override_passthrough():
@@ -542,6 +552,27 @@ def test_compare_row_order_and_budget_check():
         compare_variants([base, rastrigin])
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_repetitions_run_in_seed_order_on_the_calling_thread(monkeypatch, workers):
+    calls = []
+
+    def recording_run_single(config, seed):
+        calls.append((seed, threading.get_ident()))
+        return run_single(config, seed)
+
+    monkeypatch.setattr(harness, "run_single", recording_run_single)
+    run_experiment(small_config(), workers=workers)
+    assert calls == [(seed, threading.get_ident()) for seed in (7, 8, 9)]
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    # the import costs every fireflyopt process about 6 ms of start-up
+    code = "import sys\nimport fireflyopt.cli\nprint('concurrent.futures' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_run_experiment_rejects_non_positive_workers(workers):
     with pytest.raises(ValueError, match="workers"):
@@ -613,6 +644,17 @@ def test_cli_compare(tmp_path, capsys):
     rows = parse_compare_table(out)
     assert [r["variant"] for r in rows] == ["base", "sa_like"]
     assert (out_dir / "compare.csv").read_text() == out
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_rejects_negative_seed_by_name(tmp_path, capsys, command):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(SMALL)
+    out_dir = tmp_path / "out"
+    flag = "--config" if command == "run" else "--configs"
+    assert main([command, flag, str(cfg), "--out", str(out_dir), "--seed", "-3"]) == 1
+    assert "'base_seed'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -142,9 +142,9 @@ def test_alpha_at_chaotic_matches_replay(x0, ts):
 
 
 def test_alpha_at_chaotic_matches_replay_from_two_threads():
-    # two threads share the schedules of one x0, as --workers 2 repetitions
-    # do; one walks forward as a run does, the other backward, and a short
-    # switch interval interleaves them finely
+    # two threads share the schedules of one x0, as repetitions that a caller
+    # runs on threads do; one walks forward as a run does, the other backward,
+    # and a short switch interval interleaves them finely
     scheds = [ScheduleDescriptor("chaotic", alpha0=a, x0=0.7) for a in (0.2, 0.5)]
     orbit = _replayed_orbit(0.7, 3001)
     barrier = threading.Barrier(2, timeout=30)
