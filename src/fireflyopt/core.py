@@ -41,7 +41,7 @@ class EvaluationError(RuntimeError):
     """The objective produced a non-finite value (NaN or +-inf); the run cannot continue meaningfully."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Firefly:
     """One candidate solution: a position and its fitness."""
 
@@ -142,13 +142,24 @@ class Objective:
 
 @dataclass
 class SwarmState:
-    """Population, counters, best-so-far, and the run's random stream."""
+    """Population, counters, best-so-far, and the run's random stream.
 
-    fireflies: list[Firefly]
+    Firefly i is row i of positions (n, d) and fitness[i] (NaN until evaluated).
+    """
+
+    positions: np.ndarray
+    fitness: np.ndarray
     t: int
     fes_used: int
     best: Optional[Firefly]
     rng: np.random.Generator
+
+    @property
+    def fireflies(self) -> list[Firefly]:
+        """The population as Firefly copies, their positions read-only."""
+        positions = self.positions.copy()
+        positions.flags.writeable = False
+        return [Firefly(row, value) for row, value in zip(positions, self.fitness.tolist())]
 
 
 @dataclass
@@ -214,20 +225,19 @@ def _row_twin(fn: Callable) -> Optional[Callable]:
     return MethodType(rows, fn.__self__)
 
 
-def checked_rows(objective: Objective, positions) -> list[float]:
-    """objective.eval at n positions (an (n, d) array or n d-vectors), as floats.
+def checked_rows(objective: Objective, positions: np.ndarray) -> list[float]:
+    """objective.eval at the rows of an (n, d) array of positions, as floats.
 
-    When objective.eval has a row twin (see _ROW_TWINS), the positions are
-    stacked and go to one twin call; otherwise they go to objective.eval
-    one by one, in order.  Both give the same values.  A non-finite value
-    (NaN or +-inf) raises EvaluationError naming the first such position;
-    on the per-point path no position after it is evaluated.
+    When objective.eval has a row twin (see _ROW_TWINS), the array goes to
+    one twin call; otherwise its rows go to objective.eval one by one, in
+    order.  Both give the same values.  A non-finite value (NaN or +-inf)
+    raises EvaluationError naming the first such position; on the
+    per-point path no position after it is evaluated.
     """
     rows = _row_twin(objective.eval)
     if rows is None:
         values = map(float, map(objective.eval, positions))
     else:
-        positions = np.asarray(positions, dtype=float).reshape(-1, objective.dim)
         values = rows(positions).tolist()
     checked = []
     for value in values:
@@ -280,10 +290,9 @@ def move_firefly(
     return pull_rows(si.position[None, :], sj.position, params, params.alpha, eps, w)[0]
 
 
-def random_fireflies(rng: np.random.Generator, objective: Objective, n: int) -> list[Firefly]:
-    """n fireflies drawn uniformly inside the bounds, fitness unset (NaN)."""
-    pos = rng.uniform(objective.lower, objective.upper, size=(n, objective.dim))
-    return [Firefly(position=row.copy()) for row in pos]
+def random_positions(rng: np.random.Generator, objective: Objective, n: int) -> np.ndarray:
+    """(n, d) positions drawn uniformly inside the bounds."""
+    return rng.uniform(objective.lower, objective.upper, size=(n, objective.dim))
 
 
 def initialize(objective: Objective, params: FaParams, seed) -> SwarmState:
@@ -293,48 +302,48 @@ def initialize(objective: Objective, params: FaParams, seed) -> SwarmState:
     stays unset (NaN) until the first evaluation pass.
     """
     rng = np.random.default_rng(seed)
-    fireflies = random_fireflies(rng, objective, params.pop_size)
-    return SwarmState(fireflies=fireflies, t=0, fes_used=0, best=None, rng=rng)
+    positions = random_positions(rng, objective, params.pop_size)
+    return SwarmState(positions, np.full(params.pop_size, math.nan), t=0, fes_used=0, best=None, rng=rng)
 
 
 def evaluate(state: SwarmState, objective: Objective, params: FaParams) -> SwarmState:
-    """Refresh fitness, spending at most the remaining budget.
+    """Refresh fitness through checked_rows, spending at most the remaining budget.
 
-    When fewer evaluations remain than fireflies, only the leading part of
-    the population is refreshed and the budget is exhausted, which ends
-    the run.
-
-    The refreshed positions are stacked and evaluated by checked_rows: in
-    one call when objective.eval has a row twin, otherwise one by one.
+    When fewer evaluations remain than fireflies, only the leading rows are
+    refreshed and the budget is exhausted, which ends the run.  The best-so-far
+    becomes the first minimum of the fresh values if that is strictly lower.
     """
     remaining = params.max_fes - state.fes_used
-    n = min(len(state.fireflies), remaining)
-    flies = state.fireflies[:n]
-    values = checked_rows(objective, [fly.position for fly in flies])
-    for fly, value in zip(flies, values):
-        fly.fitness = value
-        if state.best is None or value < state.best.fitness:
-            state.best = fly.copy()
+    n = min(len(state.fitness), remaining)
+    values = checked_rows(objective, state.positions[:n])
+    state.fitness[:n] = values
+    if values:
+        i = values.index(min(values))
+        if state.best is None or values[i] < state.best.fitness:
+            state.best = Firefly(state.positions[i].copy(), values[i])
     state.fes_used += n
     return state
 
 
 def order(state: SwarmState) -> SwarmState:
-    """Sort fireflies ascending by fitness; ties keep their relative order."""
-    if any(math.isnan(f.fitness) for f in state.fireflies):
+    """Sort ascending by fitness into new arrays; ties keep their relative order."""
+    if np.isnan(state.fitness).any():
         raise ValueError("cannot order an unevaluated population")
-    state.fireflies.sort(key=lambda f: f.fitness)
+    rank = np.argsort(state.fitness, kind="stable")
+    state.positions = state.positions[rank]
+    state.fitness = state.fitness[rank]
     return state
 
 
 def find_best(state: SwarmState) -> Firefly:
     """Copy of the current generation's best firefly; reconciles best-so-far."""
-    if not state.fireflies:
+    if not state.fitness.size:
         raise ValueError("empty population")
-    current = min(state.fireflies, key=lambda f: f.fitness)
+    i = int(np.argmin(state.fitness))
+    current = Firefly(state.positions[i].copy(), float(state.fitness[i]))
     if state.best is None or current.fitness < state.best.fitness:
         state.best = current.copy()
-    return current.copy()
+    return current
 
 
 def pairwise_sweep(
@@ -367,7 +376,7 @@ def pairwise_sweep(
     overhead costs more than it saves, so the scalar kernel stays for small
     shapes (the paper-scale ones).
     """
-    if len(state.fireflies) * objective.dim >= ROW_SWEEP_MIN_CELLS:
+    if state.positions.size >= ROW_SWEEP_MIN_CELLS:
         _sweep_rows(state, objective, params, alpha_t, eps_fn)
     else:
         _sweep_scalar(state, objective, params, alpha_t, eps_fn)
@@ -439,8 +448,7 @@ def _sweep_kernel(dim: int) -> Callable:
 
 def _sweep_scalar(state, objective, params, alpha_t, eps_fn) -> None:
     """pairwise_sweep on plain Python floats, in the kernel for objective.dim: the small-shape path."""
-    flies, width = state.fireflies, objective.width
-    fit = [f.fitness for f in flies]
+    fit, width = state.fitness.tolist(), objective.width
     # After sorting, the strictly brighter peers of firefly i are exactly
     # the prefix before its tie group.
     counts = [bisect_left(fit, value) for value in fit]
@@ -450,11 +458,10 @@ def _sweep_scalar(state, objective, params, alpha_t, eps_fn) -> None:
     next_step = zip(*[iter((eps * (alpha_t * width)).ravel().tolist())] * objective.dim).__next__
     bounds = np.concatenate([objective.lower, objective.upper, 1.0 / width]).tolist()
     rows = _sweep_kernel(objective.dim)(
-        [f.position.tolist() for f in flies], counts, next_step, bounds, params.beta0, -params.gamma,
+        state.positions.tolist(), counts, next_step, bounds, params.beta0, -params.gamma,
         params.elitism, params.update_scheme == "synchronous", math.exp,
     )
-    for fly, row in zip(flies, rows):
-        fly.position = np.asarray(row, dtype=float)
+    state.positions = np.array(rows, dtype=float)
 
 
 def _sweep_rows(state, objective, params, alpha_t, eps_fn) -> None:
@@ -469,9 +476,8 @@ def _sweep_rows(state, objective, params, alpha_t, eps_fn) -> None:
     the scalar loop's operations in the scalar loop's order: the random
     steps come from one draw, row (i, t) at the scalar loop's draw offset of
     i plus t; r^2 is summed in order along d; exp is math.exp, which
-    np.exp does not match to the last ulp.
+    np.exp does not match to the last ulp.  The moves land in state.positions in place.
     """
-    flies = state.fireflies
     dim = objective.dim
     lo = objective.lower
     hi = objective.upper
@@ -480,8 +486,7 @@ def _sweep_rows(state, objective, params, alpha_t, eps_fn) -> None:
     aw = alpha_t * width
     neg_gamma = -params.gamma
     beta0 = params.beta0
-    pos = np.array([f.position for f in flies], dtype=float)
-    fit = np.array([f.fitness for f in flies], dtype=float)
+    pos, fit = state.positions, state.fitness
     counts = np.searchsorted(fit, fit, side="left")
     # rows before `first` have no brighter peer; starts[t] is the first row
     # with more than t of them
@@ -504,7 +509,7 @@ def _sweep_rows(state, objective, params, alpha_t, eps_fn) -> None:
 
     synchronous = params.update_scheme == "synchronous"
     if synchronous:
-        acc = np.zeros((len(flies) - first, dim))
+        acc = np.zeros((len(pos) - first, dim))
         for j, s in enumerate(starts):
             acc[s - first :] += attraction(pos[j], pos[s:]) + aw * eps[offsets[s:] + j]
         pos[first:] = clamp(pos[first:] + acc)
@@ -514,9 +519,6 @@ def _sweep_rows(state, objective, params, alpha_t, eps_fn) -> None:
     if not synchronous:
         for t, s in enumerate(starts):
             pos[s:] = clamp((pos[s:] + attraction(pos[t], pos[s:])) + aw * eps[offsets[s:] + t])
-
-    for fly, row in zip(flies, pos):
-        fly.position = row
 
 
 def step(

@@ -23,7 +23,7 @@ from .core import (
     checked_rows,
     initialize,
     pull_rows,
-    random_fireflies,
+    random_positions,
     step,
 )
 from .randomization import alpha_at
@@ -78,9 +78,7 @@ def make_sentinels(objective: Objective, count: int, seed) -> SentinelSet:
     """Uniformly placed sentinel probes for change detection."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    rng = np.random.default_rng(seed)
-    positions = rng.uniform(objective.lower, objective.upper, size=(count, objective.dim))
-    return SentinelSet(positions=positions)
+    return SentinelSet(positions=random_positions(np.random.default_rng(seed), objective, count))
 
 
 @dataclass(frozen=True)
@@ -113,14 +111,16 @@ def elitist_best_move(
     checked_rows call, and the first strict minimum below the brightest
     firefly's fitness wins.  If no trial improves, the brightest firefly
     stays where it is.  Consumes up to m evaluations, never exceeding the
-    remaining budget.
+    remaining budget.  An unevaluated population raises ValueError.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
+    if np.isnan(state.fitness).any():
+        raise ValueError("population must be evaluated before an elitist move")
     trials = min(m, params.max_fes - state.fes_used)
     if trials <= 0:
         return state
-    best = min(state.fireflies, key=lambda f: f.fitness)
+    i = int(np.argmin(state.fitness))
     if alpha is None:
         alpha = alpha_at(params.alpha_schedule, state.t)
     w = objective.width
@@ -128,16 +128,16 @@ def elitist_best_move(
     norms = np.array([float(np.linalg.norm(u)) for u in dirs])
     if not norms.all():
         dirs, norms = dirs[norms != 0.0], norms[norms != 0.0]
-    points = best.position + alpha * w * (dirs / norms[:, None])
+    points = state.positions[i] + alpha * w * (dirs / norms[:, None])
     np.clip(points, objective.lower, objective.upper, out=points)
     state.fes_used += len(points)
     values = checked_rows(objective, points)
     winner = min(values, default=math.inf)
-    if winner < best.fitness:
-        best.position = points[values.index(winner)]
-        best.fitness = winner
+    if winner < state.fitness[i]:
+        state.positions[i] = points[values.index(winner)]
+        state.fitness[i] = winner
         if state.best is None or winner < state.best.fitness:
-            state.best = best.copy()
+            state.best = Firefly(state.positions[i].copy(), winner)
     return state
 
 
@@ -158,13 +158,9 @@ def global_best_pull_step(
         raise ValueError("population must be evaluated before a pull step")
     if alpha is None:
         alpha = alpha_at(params.alpha_schedule, state.t)
-    flies = state.fireflies
-    w = objective.width
-    eps = state.rng.standard_normal((len(flies), objective.dim))
-    pos = pull_rows(np.array([fly.position for fly in flies]), state.best.position, params, alpha, eps, w)
-    np.clip(pos, objective.lower, objective.upper, out=pos)
-    for fly, row in zip(flies, pos):
-        fly.position = row
+    eps = state.rng.standard_normal(state.positions.shape)
+    pos = pull_rows(state.positions, state.best.position, params, alpha, eps, objective.width)
+    state.positions = np.clip(pos, objective.lower, objective.upper, out=pos)
     return state
 
 
@@ -209,7 +205,7 @@ def _pair_distances(positions: list[Optional[np.ndarray]], objective: Objective)
 
 
 def _swarm_diameter(swarm: SwarmState, objective: Objective) -> float:
-    return float(_pair_distances([f.position for f in swarm.fireflies], objective).max())
+    return float(_pair_distances(swarm.positions, objective).max())
 
 
 def _exclusion_victims(bests: list[Optional[Firefly]], objective: Objective, radius: float) -> set[int]:
@@ -232,7 +228,8 @@ def _exclusion_victims(bests: list[Optional[Firefly]], objective: Objective, rad
 
 
 def _rerandomize(swarm: SwarmState, objective: Objective) -> None:
-    swarm.fireflies = random_fireflies(swarm.rng, objective, len(swarm.fireflies))
+    swarm.positions = random_positions(swarm.rng, objective, len(swarm.fitness))
+    swarm.fitness = np.full(len(swarm.fitness), math.nan)
     swarm.best = None
 
 
@@ -299,12 +296,12 @@ def multiswarm_step(
     if sentinels.values is None:
         sentinels.values = fresh
     elif np.any(np.abs(fresh - sentinels.values) > CHANGE_TOLERANCE):
-        flies = [fly for swarm in swarms for fly in swarm.fireflies]
-        for fly, value in zip(flies, checked_rows(objective, [fly.position for fly in flies])):
-            fly.fitness = value
+        values = iter(checked_rows(objective, np.concatenate([swarm.positions for swarm in swarms])))
         for swarm in swarms:
-            swarm.fes_used += len(swarm.fireflies)
-            swarm.best = min(swarm.fireflies, key=lambda f: f.fitness).copy()
+            swarm.fitness = np.fromiter(values, float, len(swarm.fitness))
+            swarm.fes_used += len(swarm.fitness)
+            i = int(np.argmin(swarm.fitness))
+            swarm.best = Firefly(swarm.positions[i].copy(), float(swarm.fitness[i]))
         # re-baseline the probes after the invalidation pass, so the
         # references are wholly post-change even when the shift landed
         # mid-way through the probe loop above

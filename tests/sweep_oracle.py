@@ -18,22 +18,21 @@ from fireflyopt.core import _draw_eps_rows
 
 def sweep_scalar(state, objective, params, alpha_t, eps_fn) -> None:
     """pairwise_sweep on plain Python floats, one firefly and one d at a time."""
-    flies = state.fireflies
-    pop = len(flies)
+    pop = len(state.fitness)
     dim = objective.dim
     lo = objective.lower.tolist()
     hi = objective.upper.tolist()
     width = [h - l for l, h in zip(lo, hi)]
     inv_w = [1.0 / wd for wd in width]
     aw = [alpha_t * wd for wd in width]
-    fit = [f.fitness for f in flies]
+    fit = state.fitness.tolist()
     # After sorting, the strictly brighter peers of firefly i are exactly
     # the prefix before its tie group.
     counts = [bisect_left(fit, fit[i]) for i in range(pop)]
     walkers = 0 if params.elitism else sum(1 for c in counts if c == 0)
     eps = _draw_eps_rows(state.rng, sum(counts) + walkers, dim, params.epsilon_kind, eps_fn).tolist()
 
-    pos = [f.position.tolist() for f in flies]
+    pos = state.positions.tolist()
     synchronous = params.update_scheme == "synchronous"
     snap = [row[:] for row in pos] if synchronous else None
     elitism = params.elitism
@@ -102,5 +101,4 @@ def sweep_scalar(state, objective, params, alpha_t, eps_fn) -> None:
                         v = hi[d]
                     pi[d] = v
 
-    for fly, row in zip(flies, pos):
-        fly.position = np.asarray(row, dtype=float)
+    state.positions = np.array(pos, dtype=float)

@@ -273,7 +273,7 @@ def test_evaluate_sphere_at_origin():
     obj = lookup("sphere", 2)
     params = FaParams(pop_size=2, max_fes=100)
     state = initialize(obj, params, 0)
-    state.fireflies[0].position = np.zeros(2)
+    state.positions[0] = 0.0
     evaluate(state, obj, params)
     assert state.fireflies[0].fitness == 0.0
     assert state.best.fitness == 0.0
@@ -300,8 +300,7 @@ def test_evaluate_best_monotone():
     previous = state.best.fitness
     rng = np.random.default_rng(9)
     for _ in range(10):
-        for fly in state.fireflies:
-            fly.position = rng.uniform(obj.lower, obj.upper)
+        state.positions[:] = rng.uniform(obj.lower, obj.upper, size=state.positions.shape)
         evaluate(state, obj, params)
         assert state.best.fitness <= previous
         previous = state.best.fitness
@@ -328,8 +327,7 @@ def _evaluate_both(obj, pop, remaining, positions, prior_best):
     results = []
     for objective in (obj, _per_point(obj)):
         state = initialize(objective, params, 0)
-        for fly, row in zip(state.fireflies, positions):
-            fly.position = row.copy()
+        state.positions[:] = positions
         state.fes_used = params.max_fes - remaining
         state.best = None if prior_best is None else prior_best.copy()
         try:
@@ -537,8 +535,9 @@ def test_evaluate_wrappers_of_moving_peaks_keep_the_per_point_path():
 
 
 def _state_with_fitness(values):
-    flies = [Firefly(np.array([float(i), 0.0]), float(v)) for i, v in enumerate(values)]
-    return SwarmState(fireflies=flies, t=0, fes_used=0, best=None, rng=np.random.default_rng(0))
+    positions = np.array([[float(i), 0.0] for i in range(len(values))]).reshape(-1, 2)
+    return SwarmState(positions, np.array(values, dtype=float), t=0, fes_used=0, best=None,
+                      rng=np.random.default_rng(0))
 
 
 def test_order_sorts_ascending():
@@ -559,7 +558,7 @@ def test_order_stability_and_idempotence():
 
 def test_order_rejects_unevaluated():
     state = _state_with_fitness([1.0, 2.0])
-    state.fireflies[1].fitness = math.nan
+    state.fitness[1] = math.nan
     with pytest.raises(ValueError):
         order(state)
 
@@ -570,8 +569,7 @@ def test_find_best_picks_minimum_and_retains_history():
     assert best.fitness == 1.0
     assert state.best.fitness == 1.0
     state.best = Firefly(np.zeros(2), 4.0)
-    for fly in state.fireflies:
-        fly.fitness += 4.0  # current generation best becomes 5.0
+    state.fitness += 4.0  # current generation best becomes 5.0
     find_best(state)
     assert state.best.fitness == 4.0
 
@@ -579,7 +577,7 @@ def test_find_best_picks_minimum_and_retains_history():
 def test_find_best_single_and_empty():
     state = _state_with_fitness([7.0])
     assert find_best(state).fitness == 7.0
-    empty = SwarmState(fireflies=[], t=0, fes_used=0, best=None, rng=np.random.default_rng(0))
+    empty = _state_with_fitness([])
     with pytest.raises(ValueError):
         find_best(empty)
 
@@ -710,8 +708,7 @@ def _sweep_state(pop, dim, seed, fitness=None):
     params = FaParams(pop_size=pop, max_fes=10 * pop)
     state = evaluate(initialize(obj, params, seed), obj, params)
     if fitness is not None:
-        for fly, value in zip(state.fireflies, fitness):
-            fly.fitness = float(value)
+        state.fitness[:] = fitness
     return obj, order(state)
 
 
@@ -729,8 +726,7 @@ def _assert_paths_agree(state, obj, params, alpha_t=0.3, eps_fn=None, generation
             path(s, obj, params, alpha_t, eps_fn)
             assert _sweep_bytes(s) == _sweep_bytes(oracle), path.__name__
         for s in (oracle, *copies):
-            for fly in s.fireflies:
-                fly.fitness = obj.eval(fly.position)
+            s.fitness[:] = [obj.eval(row) for row in s.positions]
             order(s)
 
 
@@ -838,9 +834,9 @@ def test_sweep_kernel_matches_scalar_oracle(
     draw = np.random.default_rng(seed)
     fitness = None if groups == 0 else draw.integers(0, groups, pop)
     obj, state = _sweep_state(pop, dim, seed, fitness)
-    for fly in state.fireflies:
+    for row in state.positions:
         pinned = draw.random(dim) < on_bounds
-        fly.position[pinned] = np.where(draw.random(dim) < 0.5, obj.lower, obj.upper)[pinned]
+        row[pinned] = np.where(draw.random(dim) < 0.5, obj.lower, obj.upper)[pinned]
     params = FaParams(
         gamma=gamma, beta0=beta0, pop_size=pop, max_fes=10 * pop, epsilon_kind=kind,
         update_scheme=scheme, elitism=elitism,

@@ -1,6 +1,7 @@
 """Variant mechanisms: elitist move, global-best pull, reductions, multi-swarm, penalty."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +34,8 @@ from fireflyopt import (
     reduction_mode,
     step,
 )
-from fireflyopt.core import _row_twin
+from fireflyopt import variants
+from fireflyopt.core import ROW_SWEEP_MIN_CELLS, _row_twin
 from fireflyopt.harness import run_multiswarm
 from fireflyopt.variants import _exclusion_victims, _pair_distances, _swarm_diameter
 
@@ -64,8 +66,8 @@ def test_elitist_move_at_exact_optimum_stays():
     obj = lookup("sphere", 2)
     params = FaParams(pop_size=3, max_fes=100)
     state = evaluated_state(obj, params, 1)
-    state.fireflies[0].position = np.zeros(2)
-    state.fireflies[0].fitness = 0.0
+    state.positions[0] = 0.0
+    state.fitness[0] = 0.0
     elitist_best_move(state, 5, params, obj, alpha=0.1)
     assert np.array_equal(state.fireflies[0].position, np.zeros(2))
     assert state.fes_used == 3 + 5
@@ -91,6 +93,19 @@ def test_elitist_move_respects_budget():
     assert state.fes_used == 5  # only 2 trials fit
 
 
+def test_elitist_move_rejects_unevaluated_population():
+    # no trial beats a NaN fitness, so the move used to spend its trials
+    # silently and move nothing
+    obj = lookup("sphere", 2)
+    params = FaParams(pop_size=3, max_fes=100)
+    state = initialize(obj, params, 0)
+    before = state.positions.copy()
+    with pytest.raises(ValueError, match="evaluated"):
+        elitist_best_move(state, 4, params, obj)
+    assert state.fes_used == 0 and state.best is None
+    assert state.positions.tobytes() == before.tobytes()
+
+
 def test_elitist_move_improves_from_plateau():
     # best sits on a slope; at least one of many probes improves it
     obj = lookup("sphere", 2)
@@ -106,16 +121,16 @@ def _elitist_move_loop(state, m, params, objective, alpha):
     trials = min(m, params.max_fes - state.fes_used)
     if trials <= 0:
         return
-    best = min(state.fireflies, key=lambda f: f.fitness)
+    best = int(np.argmin(state.fitness))
     w = objective.width
     dirs = state.rng.standard_normal((trials, objective.dim))
     winner_pos = None
-    winner_fit = best.fitness
+    winner_fit = state.fitness[best]
     for u in dirs:
         norm = float(np.linalg.norm(u))
         if norm == 0.0:
             continue
-        trial = best.position + alpha * w * (u / norm)
+        trial = state.positions[best] + alpha * w * (u / norm)
         np.clip(trial, objective.lower, objective.upper, out=trial)
         state.fes_used += 1
         value = float(objective.eval(trial))
@@ -125,10 +140,10 @@ def _elitist_move_loop(state, m, params, objective, alpha):
             winner_fit = value
             winner_pos = trial
     if winner_pos is not None:
-        best.position = winner_pos
-        best.fitness = winner_fit
+        state.positions[best] = winner_pos
+        state.fitness[best] = winner_fit
         if state.best is None or winner_fit < state.best.fitness:
-            state.best = best.copy()
+            state.best = Firefly(winner_pos.copy(), winner_fit)
 
 
 def _elitist_objective(kind, dim, shift_interval, seed):
@@ -210,7 +225,7 @@ def test_elitist_move_drops_zero_directions_and_keeps_first_minimum(rows, winner
 
     obj = Objective(dim=2, lower=np.full(2, -1.0), upper=np.full(2, 1.0), eval=fn)
     params = FaParams(pop_size=1, max_fes=100)
-    state = SwarmState(fireflies=[Firefly(np.array([0.5, 0.5]), 0.5)], t=0, fes_used=1,
+    state = SwarmState(np.array([[0.5, 0.5]]), np.array([0.5]), t=0, fes_used=1,
                        best=Firefly(np.array([0.5, 0.5]), 0.5), rng=_StubRng(rows))
     elitist_best_move(state, len(rows), params, obj, alpha=0.25)
     # zero rows are dropped unevaluated and uncharged; the rest probe a
@@ -258,14 +273,14 @@ def _pull_step_loop(state, objective, params, alpha):
     """The pull step as written before it moved to arrays: one firefly at a time."""
     g = state.best.position
     w = objective.width
-    eps = state.rng.standard_normal((len(state.fireflies), objective.dim))
-    for fly, ek in zip(state.fireflies, eps):
-        diff = g - fly.position
+    eps = state.rng.standard_normal(state.positions.shape)
+    for i, ek in enumerate(eps):
+        diff = g - state.positions[i]
         nd = diff / w
         beta = params.beta0 * math.exp(-params.gamma * float(nd @ nd))
-        pos = fly.position + beta * diff + alpha * ek * w
+        pos = state.positions[i] + beta * diff + alpha * ek * w
         np.clip(pos, objective.lower, objective.upper, out=pos)
-        fly.position = pos
+        state.positions[i] = pos
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -396,8 +411,8 @@ def test_multiswarm_exclusion_rerandomizes_exactly_one():
     swarms = initialize_multiswarm(obj, params, config, 3)
     # park both swarms on nearly the same spot: their bests must collide
     for k, swarm in enumerate(swarms):
-        for i, fly in enumerate(swarm.fireflies):
-            fly.position = np.array([0.01 * k, 0.01 * i])
+        for i in range(len(swarm.positions)):
+            swarm.positions[i] = [0.01 * k, 0.01 * i]
     log = []
     multiswarm_step(swarms, config, obj, params, log=log, sentinels=make_sentinels(obj, 1, 3))
     assert sum(1 for e in log if e["event"] == "exclusion") == 1
@@ -413,10 +428,10 @@ def test_multiswarm_anticonvergence_rerandomizes_worst():
     config = MultiSwarmConfig(num_swarms=2, swarm_size=2, exclusion_radius=0.05, anticonvergence_radius=0.2)
     swarms = initialize_multiswarm(obj, params, config, 4)
     # two tight clusters, far apart; the second is worse (farther from origin)
-    for i, fly in enumerate(swarms[0].fireflies):
-        fly.position = np.array([0.1, 0.1 + 1e-4 * i])
-    for i, fly in enumerate(swarms[1].fireflies):
-        fly.position = np.array([4.0, 4.0 + 1e-4 * i])
+    for i in range(len(swarms[0].positions)):
+        swarms[0].positions[i] = [0.1, 0.1 + 1e-4 * i]
+    for i in range(len(swarms[1].positions)):
+        swarms[1].positions[i] = [4.0, 4.0 + 1e-4 * i]
     log = []
     multiswarm_step(swarms, config, obj, params, log=log, sentinels=make_sentinels(obj, 1, 4))
     assert any(e["event"] == "anticonvergence" and e["swarm"] == 1 for e in log)
@@ -634,13 +649,95 @@ def test_pair_distances_match_per_pair_norm(k, dim, scale_exp, duplicates, none_
     dist = _pair_distances(list(positions), obj)
     assert dist.shape == (k, k)
     assert dist.tobytes() == oracle.tobytes()
-    swarm = SwarmState(fireflies=[Firefly(p) for p in positions], t=0, fes_used=0, best=None, rng=rng)
+    swarm = SwarmState(positions, np.full(k, math.nan), t=0, fes_used=0, best=None, rng=rng)
     assert _swarm_diameter(swarm, obj) == max(max(row) for row in oracle.tolist())
 
     # fitness ties exercise the >= in the victim choice; radii sit on pair gaps
     bests = [None if rng.random() < none_share else Firefly(p, float(rng.integers(3))) for p in positions]
     for radius in (oracle[rng.integers(k), rng.integers(k)], float(np.median(oracle)), 0.5):
         assert _exclusion_victims(bests, obj, radius) == _norm_loop_victims(bests, obj, radius)
+
+
+# -------------------------------------------------------- population arrays
+
+
+def _stepped(pop, dim):
+    obj = lookup("rastrigin", dim)
+    params = FaParams(pop_size=pop, max_fes=100 * pop)
+    state = initialize(obj, params, 0)
+    for _ in range(2):
+        step(state, obj, params)
+    return [state]
+
+
+def _evaluated():
+    obj = lookup("sphere", 3)
+    params = FaParams(pop_size=5, max_fes=1000)
+    return [evaluate(initialize(obj, params, 0), obj, params)]
+
+
+def _elitist_moved():
+    obj = lookup("sphere", 3)
+    params = FaParams(pop_size=5, max_fes=1000)
+    state = evaluated_state(obj, params, 0)
+    old = state.best.fitness
+    elitist_best_move(state, 50, params, obj, alpha=0.05)
+    assert state.best.fitness < old  # a winner was written into the positions
+    return [state]
+
+
+def _pulled():
+    obj = lookup("sphere", 3)
+    params = FaParams(pop_size=5, max_fes=1000)
+    state = evaluated_state(obj, params, 0)
+    global_best_pull_step(state, obj, params)
+    return [state]
+
+
+def _change_passed(monkeypatch):
+    """Two swarms right after a detected change; their own steps are skipped."""
+    monkeypatch.setattr(variants, "step", lambda *args, **kwargs: None)
+    obj = make_moving_peaks(peak_count=3, dim=2, shift_interval=2, seed=5)
+    params = FaParams(pop_size=6, max_fes=10_000)
+    config = MultiSwarmConfig(num_swarms=2, swarm_size=3, exclusion_radius=1e-9, anticonvergence_radius=1e-9)
+    swarms = initialize_multiswarm(obj, params, config, 5)
+    sentinels = make_sentinels(obj, 1, 6)
+    log = []
+    for _ in range(5):
+        multiswarm_step(swarms, config, obj, params, sentinels, log=log)
+        if log:
+            break
+    assert log == [{"event": "change"}]
+    return swarms
+
+
+_MOVES = {
+    "evaluate": lambda monkeypatch: _evaluated(),
+    "scalar_step": lambda monkeypatch: _stepped(25, 5),
+    "row_step": lambda monkeypatch: _stepped(40, 10),
+    "elitist": lambda monkeypatch: _elitist_moved(),
+    "pull": lambda monkeypatch: _pulled(),
+    "change_pass": _change_passed,
+}
+
+
+@pytest.mark.parametrize("move", list(_MOVES))
+def test_best_and_fireflies_view_share_no_memory_with_positions(move, monkeypatch):
+    # the row sweep writes into state.positions in place, so the best-so-far
+    # and the fireflies view must be copies; a write through the view raises
+    assert 25 * 5 < ROW_SWEEP_MIN_CELLS <= 40 * 10
+    for state in _MOVES[move](monkeypatch):
+        assert not np.shares_memory(state.best.position, state.positions)
+        best = (state.best.position.tobytes(), state.best.fitness)
+        snapshot = state.fireflies
+        seen = [(fly.position.tobytes(), fly.fitness) for fly in snapshot]
+        state.positions += 1.0
+        assert (state.best.position.tobytes(), state.best.fitness) == best
+        assert [(fly.position.tobytes(), fly.fitness) for fly in snapshot] == seen
+        with pytest.raises(ValueError, match="read-only"):
+            snapshot[0].position[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snapshot[0].fitness = 0.0
 
 
 # ------------------------------------------------------- checked evaluation
