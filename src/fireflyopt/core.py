@@ -20,7 +20,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from types import MethodType
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -115,6 +114,8 @@ class Objective:
     change_hook: Optional[object] = None
 
     def __post_init__(self):
+        if not isinstance(self.dim, (int, np.integer)) or isinstance(self.dim, bool) or self.dim < 1:
+            raise ValueError(f"dim must be an int >= 1, got {self.dim!r}")
         lower = np.asarray(self.lower, dtype=float)
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != (self.dim,) or upper.shape != (self.dim,):
@@ -210,10 +211,11 @@ def _draw_eps_rows(rng, rows, dim, kind, eps_fn) -> np.ndarray:
 # a twin evaluates an (n, d) array of points in one call and gives, row for
 # row, the bits of its function (and, for a landscape with state, the same
 # state afterwards).  _row_twin matches objective.eval by identity, or a
-# bound method by its __func__, with the twin bound to the same instance.
-# So any wrapper of a registered function (a penalty closure, a tracing
-# wrapper, a functools.wraps copy) and any subclass override keep the
-# per-point path, and every call goes through the wrapper.
+# bound method by its __func__, with the twin looked up by name on the same
+# instance (so a subclass override of the twin is used).  Any wrapper of a
+# registered function (a penalty closure, a tracing wrapper, a
+# functools.wraps copy) and any override of it keep the per-point path, and
+# every call goes through the wrapper.
 _ROW_TWINS: list[tuple[Callable, Callable]] = []
 
 
@@ -222,7 +224,7 @@ def _row_twin(fn: Callable) -> Optional[Callable]:
     rows = next((rows for f, rows in _ROW_TWINS if f is func), None)
     if rows is None or func is fn:
         return rows
-    return MethodType(rows, fn.__self__)
+    return getattr(fn.__self__, rows.__name__)
 
 
 def checked_rows(objective: Objective, positions: np.ndarray) -> list[float]:
@@ -314,7 +316,7 @@ def evaluate(state: SwarmState, objective: Objective, params: FaParams) -> Swarm
     becomes the first minimum of the fresh values if that is strictly lower.
     """
     remaining = params.max_fes - state.fes_used
-    n = min(len(state.fitness), remaining)
+    n = max(0, min(len(state.fitness), remaining))
     values = checked_rows(objective, state.positions[:n])
     state.fitness[:n] = values
     if values:

@@ -186,44 +186,33 @@ def reduction_mode(name: str, base: Optional[FaParams] = None, seed: Optional[in
     return replace(params, gamma=0.0)
 
 
-def _normalized(position: np.ndarray, objective: Objective) -> np.ndarray:
-    return (position - objective.lower) / objective.width
+def _pair_distances(points: np.ndarray, objective: Objective) -> np.ndarray:
+    """(..., k, k) normalized distances between the rows of each (k, d) block of points.
 
-
-def _pair_distances(positions: list[Optional[np.ndarray]], objective: Objective) -> np.ndarray:
-    """(k, k) normalized distances between positions; a None position gives NaNs.
-
-    Entry (i, j) equals float(np.linalg.norm(p_i - p_j)) on the normalized
-    points bit for bit: the stacked matmul reduces each difference row with
-    the same dot product that norm uses, where einsum and (v * v).sum(-1)
-    round differently.
+    A NaN row gives NaN distances.  Entry (i, j) equals
+    float(np.linalg.norm(p_i - p_j)) on the normalized points bit for bit:
+    the stacked matmul reduces each difference row with the same dot product
+    that norm uses, where einsum and (v * v).sum(-1) round differently.
     """
-    rows = [np.full(objective.dim, math.nan) if p is None else p for p in positions]
-    pts = _normalized(np.array(rows).reshape(len(rows), objective.dim), objective)
-    v = pts[:, None, :] - pts[None, :, :]
+    pts = (points - objective.lower) / objective.width
+    v = pts[..., :, None, :] - pts[..., None, :, :]
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
-def _swarm_diameter(swarm: SwarmState, objective: Objective) -> float:
-    return float(_pair_distances(swarm.positions, objective).max())
 
 
 def _exclusion_victims(bests: list[Optional[Firefly]], objective: Objective, radius: float) -> set[int]:
     """Indices of the swarms to re-randomize, pairs taken in (i, j) order.
 
     Of two swarms whose bests lie within radius of each other the worse one
-    (j on a fitness tie) is chosen; a swarm already chosen or without a
-    best takes part in no further pair.
+    (j on a fitness tie) is chosen; a swarm already chosen, or without a
+    best (a NaN row, never within radius), takes part in no further pair.
     """
-    gaps = _pair_distances([None if b is None else b.position for b in bests], objective).tolist()
+    missing = np.full(objective.dim, math.nan)
+    gaps = _pair_distances(np.array([missing if b is None else b.position for b in bests]), objective).tolist()
     victims: set[int] = set()
     for i in range(len(bests)):
         for j in range(i + 1, len(bests)):
-            bi, bj = bests[i], bests[j]
-            if bi is None or bj is None or i in victims or j in victims:
-                continue
-            if gaps[i][j] < radius:
-                victims.add(j if bj.fitness >= bi.fitness else i)
+            if i not in victims and j not in victims and gaps[i][j] < radius:
+                victims.add(j if bests[j].fitness >= bests[i].fitness else i)
     return victims
 
 
@@ -284,7 +273,8 @@ def multiswarm_step(
     the worse of two swarms whose bests fall within exclusion_radius of
     each other; anti-convergence re-randomizes the globally worst swarm
     once every swarm has collapsed below the anticonvergence_radius
-    diameter.
+    diameter.  Swarms must be of equal size, as initialize_multiswarm makes
+    them: all diameters come from one distance call on the stacked positions.
     """
     streams = [swarm.rng.bit_generator.state for swarm in swarms]
     for i in range(len(swarms)):
@@ -323,10 +313,9 @@ def multiswarm_step(
 
     # Anti-convergence: when everything has collapsed, re-diversify the worst
     # (only when no swarm was re-randomized above, so bests is still current).
-    if len(swarms) > 1 and not victims:
-        if all(b is not None for b in bests) and all(
-            _swarm_diameter(s, objective) < config.anticonvergence_radius for s in swarms
-        ):
+    if len(swarms) > 1 and not victims and all(b is not None for b in bests):
+        diameters = _pair_distances(np.stack([s.positions for s in swarms]), objective).max(axis=(1, 2))
+        if (diameters < config.anticonvergence_radius).all():
             worst = max(range(len(swarms)), key=lambda k: bests[k].fitness)
             _rerandomize(swarms[worst], objective)
             if log is not None:

@@ -237,6 +237,17 @@ def test_objective_rejects_non_finite_bounds(lo, hi):
         Objective(dim=2, lower=np.array([lo, 0.0]), upper=np.array([hi, 1.0]), eval=lambda x: 0.0)
 
 
+@pytest.mark.parametrize("dim", [0, -1, 2.0, "3", True, None])
+def test_objective_rejects_a_dim_that_is_not_a_positive_int(dim):
+    with pytest.raises(ValueError, match="dim must be an int >= 1"):
+        Objective(dim=dim, lower=np.empty(0), upper=np.empty(0), eval=lambda x: 0.0)
+
+
+def test_objective_accepts_a_numpy_integer_dim():
+    obj = Objective(dim=np.int64(2), lower=np.zeros(2), upper=np.ones(2), eval=lambda x: 0.0)
+    assert obj.width.shape == (2,)
+
+
 # ------------------------------------------------------------- initialize
 
 
@@ -290,6 +301,18 @@ def test_evaluate_budget_arithmetic():
     assert state.fes_used == 80
     evaluate(state, obj, params)
     assert state.fes_used == 100  # only 20 evaluations left on the third pass
+
+
+def test_evaluate_past_the_budget_evaluates_nothing():
+    calls = []
+    obj = Objective(dim=2, lower=np.zeros(2), upper=np.ones(2), eval=lambda x: calls.append(1) or 0.0)
+    params = FaParams(pop_size=5, max_fes=10)
+    state = initialize(obj, params, 0)
+    state.fes_used = 12  # sentinel probes can push a swarm past its budget
+    evaluate(state, obj, params)
+    assert state.fes_used == 12
+    assert np.isnan(state.fitness).all() and state.best is None
+    assert calls == []
 
 
 def test_evaluate_best_monotone():
@@ -529,6 +552,24 @@ def test_evaluate_wrappers_of_moving_peaks_keep_the_per_point_path():
         oracle = landscape().change_hook
         assert len(calls) == 5
         assert [f.fitness for f in state.fireflies] == [oracle.value(f.position) for f in state.fireflies]
+
+
+def test_evaluate_batch_path_uses_a_subclass_override_of_rows():
+    # the inherited value calls the override, so the batched path must too
+    class Doubled(MovingPeaks):
+        def rows(self, x):
+            return super().rows(x) * 2.0
+
+    def landscape():
+        return Doubled(**vars(make_moving_peaks(peak_count=3, dim=2, shift_interval=3, seed=4).change_hook))
+
+    sub, oracle = landscape(), landscape()
+    assert core._row_twin(sub.value).__func__ is Doubled.rows
+    obj = Objective(dim=2, lower=np.zeros(2), upper=np.full(2, 100.0), eval=sub.value)
+    params = FaParams(pop_size=5, max_fes=10)
+    state = initialize(obj, params, 0)
+    evaluate(state, obj, params)
+    assert state.fitness.tobytes() == np.array([oracle.value(p) for p in state.positions]).tobytes()
 
 
 # ------------------------------------------------------------ order, best

@@ -37,7 +37,7 @@ from fireflyopt import (
 from fireflyopt import variants
 from fireflyopt.core import ROW_SWEEP_MIN_CELLS, _row_twin
 from fireflyopt.harness import run_multiswarm
-from fireflyopt.variants import _exclusion_victims, _pair_distances, _swarm_diameter
+from fireflyopt.variants import _exclusion_victims, _pair_distances
 
 
 def evaluated_state(objective, params, seed):
@@ -439,6 +439,22 @@ def test_multiswarm_anticonvergence_rerandomizes_worst():
     assert swarms[0].best is not None
 
 
+def test_multiswarm_anticonvergence_waits_for_every_swarm():
+    obj = lookup("sphere", 2)
+    params = FaParams(pop_size=6, max_fes=10_000, alpha=0.0, beta0=0.0)
+    config = MultiSwarmConfig(num_swarms=3, swarm_size=2, exclusion_radius=0.05, anticonvergence_radius=0.2)
+    swarms = initialize_multiswarm(obj, params, config, 4)
+    # two tight clusters far apart; only the last swarm is spread out
+    for k, corner in enumerate((0.1, 4.0)):
+        for i in range(len(swarms[k].positions)):
+            swarms[k].positions[i] = [corner, corner + 1e-4 * i]
+    swarms[2].positions[:] = [[-4.0, -4.0], [-2.0, 4.0]]
+    log = []
+    multiswarm_step(swarms, config, obj, params, log=log, sentinels=make_sentinels(obj, 1, 4))
+    assert log == []
+    assert all(swarm.best is not None for swarm in swarms)
+
+
 def test_multiswarm_static_objective_never_flags_change():
     obj = lookup("rastrigin", 2)
     params = FaParams(pop_size=6, max_fes=100_000)
@@ -644,13 +660,20 @@ def test_pair_distances_match_per_pair_norm(k, dim, scale_exp, duplicates, none_
     for _ in range(duplicates):
         positions[rng.integers(k)] = positions[rng.integers(k)]
     pts = [(p - obj.lower) / obj.width for p in positions]
-    oracle = np.array([[float(np.linalg.norm(pts[i] - pts[j])) for j in range(k)] for i in range(k)])
 
-    dist = _pair_distances(list(positions), obj)
+    def norm_oracle(rows):
+        return np.array([[float(np.linalg.norm(rows[i] - rows[j])) for j in range(k)] for i in range(k)])
+
+    oracle = norm_oracle(pts)
+    dist = _pair_distances(positions, obj)
     assert dist.shape == (k, k)
     assert dist.tobytes() == oracle.tobytes()
-    swarm = SwarmState(positions, np.full(k, math.nan), t=0, fes_used=0, best=None, rng=rng)
-    assert _swarm_diameter(swarm, obj) == max(max(row) for row in oracle.tolist())
+    # stacked blocks: each matches its own per-pair oracle, and its max the one-swarm diameter
+    blocks = _pair_distances(np.stack([positions, positions[::-1]]), obj)
+    assert blocks.shape == (2, k, k)
+    for block, rows in zip(blocks, (pts, pts[::-1])):
+        assert block.tobytes() == norm_oracle(rows).tobytes()
+        assert block.max() == max(max(row) for row in oracle.tolist())
 
     # fitness ties exercise the >= in the victim choice; radii sit on pair gaps
     bests = [None if rng.random() < none_share else Firefly(p, float(rng.integers(3))) for p in positions]
