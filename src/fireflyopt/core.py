@@ -15,10 +15,15 @@ dimension by the domain width.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import importlib.machinery
 import math
+import os
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from typing import Callable, Optional, Sequence
 
@@ -369,16 +374,28 @@ def pairwise_sweep(
     eps_fn overrides the random-step source (signature: rng, n -> vector);
     by default steps follow params.epsilon_kind.
 
-    Two implementations give the same positions and leave the random
-    stream in the same state, bit for bit: _sweep_scalar runs the moves on
-    plain Python floats, one firefly at a time, in a kernel compiled per
-    dim; _sweep_rows makes the same moves in the same per-element order but
-    batches each step across rows with numpy.  The row path is taken when
-    pop * dim reaches ROW_SWEEP_MIN_CELLS.  Below that its per-step numpy
-    overhead costs more than it saves, so the scalar kernel stays for small
-    shapes (the paper-scale ones).
+    The fitness must be sorted ascending with no NaN (order does this);
+    otherwise a ValueError is raised before any random draw.
+
+    Three implementations give the same positions and leave the random
+    stream in the same state, bit for bit: _sweep_native runs the moves in
+    the C loop _SWEEP_C; _sweep_scalar runs them on plain Python floats,
+    one firefly at a time, in a kernel compiled per dim; _sweep_rows makes
+    the same moves in the same per-element order but batches each step
+    across rows with numpy.  The C loop is taken whenever its library
+    builds, loads and passes its self-check (_load_native_sweep, once per
+    process).  Otherwise the row path is taken when pop * dim reaches
+    ROW_SWEEP_MIN_CELLS; below that its per-step numpy overhead costs more
+    than it saves, so the scalar kernel stays for small shapes (the
+    paper-scale ones).
     """
-    if state.positions.size >= ROW_SWEEP_MIN_CELLS:
+    fit = state.fitness
+    if np.isnan(fit).any() or (fit[1:] < fit[:-1]).any():
+        raise ValueError("pairwise_sweep needs fitness sorted ascending with no NaN (call order first)")
+    kernel = _load_native_sweep()[0]
+    if kernel is not None:
+        _sweep_native(kernel, state, objective, params, alpha_t, eps_fn)
+    elif state.positions.size >= ROW_SWEEP_MIN_CELLS:
         _sweep_rows(state, objective, params, alpha_t, eps_fn)
     else:
         _sweep_scalar(state, objective, params, alpha_t, eps_fn)
@@ -425,6 +442,80 @@ def sweep(pos, counts, next_step, bounds, beta0, ng, elitism, synchronous, exp):
         out.append([{p}])
     return out
 """
+
+# The same sweep as one C function for any (pop, dim), built and loaded by
+# _load_native_sweep.  Each element sees the kernel's operations in the
+# kernel's order: r2 summed left to right, beta0 * exp(ng * r2) through libm's
+# exp (the function math.exp calls), (p + beta*d) + e, the synchronous
+# c += beta*d + e then p + c, and the same clamp.  e = eps * aw is the one
+# rounding of the Python paths' (alpha_t * width) * eps.  Rows are read from
+# pos and written to out: an asynchronous move reads its peers' moved rows in
+# out, a synchronous one the snapshot in pos.  pairwise_sweep's order check
+# makes counts[i] <= i, so every peer row has been written already.
+_SWEEP_C = r"""
+#include <math.h>
+#include <stdint.h>
+
+static double clamp(double v, double l, double h)
+{
+    return v < l ? l : v > h ? h : v;
+}
+
+static double attraction(const double *a, const double *p, const double *w, int64_t dim,
+                         double beta0, double ng)
+{
+    double r2 = 0.0;
+    for (int64_t k = 0; k < dim; k++) {
+        double n = (a[k] - p[k]) * w[k];
+        r2 += n * n;
+    }
+    return beta0 * exp(ng * r2);
+}
+
+void fa_sweep(int64_t pop, int64_t dim, const double *pos, double *out, const int64_t *counts,
+              const double *eps, const double *bounds, double beta0, double ng,
+              int elitism, int synchronous)
+{
+    const double *lo = bounds, *hi = bounds + dim, *w = bounds + 2 * dim, *aw = bounds + 3 * dim;
+    for (int64_t i = 0; i < pop; i++) {
+        const double *p = pos + i * dim;
+        double *o = out + i * dim;
+        if (counts[i] == 0 && elitism) {
+            for (int64_t k = 0; k < dim; k++)
+                o[k] = p[k];
+        } else if (counts[i] == 0) {
+            for (int64_t k = 0; k < dim; k++)
+                o[k] = clamp(p[k] + eps[k] * aw[k], lo[k], hi[k]);
+            eps += dim;
+        } else if (synchronous) {
+            for (int64_t k = 0; k < dim; k++)
+                o[k] = 0.0;
+            for (int64_t j = 0; j < counts[i]; j++, eps += dim) {
+                const double *a = pos + j * dim;
+                double beta = attraction(a, p, w, dim, beta0, ng);
+                for (int64_t k = 0; k < dim; k++)
+                    o[k] += beta * (a[k] - p[k]) + eps[k] * aw[k];
+            }
+            for (int64_t k = 0; k < dim; k++)
+                o[k] = clamp(p[k] + o[k], lo[k], hi[k]);
+        } else {
+            for (int64_t k = 0; k < dim; k++)
+                o[k] = p[k];
+            for (int64_t j = 0; j < counts[i]; j++, eps += dim) {
+                const double *a = out + j * dim;
+                double beta = attraction(a, o, w, dim, beta0, ng);
+                for (int64_t k = 0; k < dim; k++)
+                    o[k] = clamp(o[k] + beta * (a[k] - o[k]) + eps[k] * aw[k], lo[k], hi[k]);
+            }
+        }
+    }
+}
+"""
+# Fixed, so every machine builds the same arithmetic: no -ffast-math and no
+# -march=native, and no contraction of a * b + c into one rounding (FMA).
+_SWEEP_C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# where the library is cached; deleting it there makes the next process rebuild it
+_NATIVE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 
 
 # unbounded, but pairwise_sweep asks only for dims below ROW_SWEEP_MIN_CELLS
@@ -521,6 +612,113 @@ def _sweep_rows(state, objective, params, alpha_t, eps_fn) -> None:
     if not synchronous:
         for t, s in enumerate(starts):
             pos[s:] = clamp((pos[s:] + attraction(pos[t], pos[s:])) + aw * eps[offsets[s:] + t])
+
+
+def _sweep_native(kernel, state, objective, params, alpha_t, eps_fn) -> None:
+    """pairwise_sweep in kernel, the loaded _SWEEP_C, bit for bit equal to _sweep_scalar.
+
+    The steps are scaled inside the C loop, one rounding per element, so
+    the draw is neither copied nor written to.
+    """
+    dim = objective.dim
+    pos = np.ascontiguousarray(state.positions, dtype=float)
+    fit = state.fitness
+    if pos.shape != (len(fit), dim):
+        raise ValueError(f"positions must have shape ({len(fit)}, {dim}), got {pos.shape}")
+    counts = np.searchsorted(fit, fit, side="left").astype(np.int64, copy=False)
+    walkers = 0 if params.elitism else int(np.count_nonzero(counts == 0))
+    eps = _draw_eps_rows(state.rng, int(counts.sum()) + walkers, dim, params.epsilon_kind, eps_fn)
+    eps = np.ascontiguousarray(eps)
+    width = objective.width
+    bounds = np.concatenate([objective.lower, objective.upper, 1.0 / width, alpha_t * width])
+    out = np.empty_like(pos)
+    kernel(
+        len(pos), dim, pos.ctypes.data, out.ctypes.data, counts.ctypes.data, eps.ctypes.data,
+        bounds.ctypes.data, params.beta0, -params.gamma, params.elitism,
+        params.update_scheme == "synchronous",
+    )
+    state.positions = out
+
+
+def _native_path() -> str:
+    """Where the library built from _SWEEP_C is cached, keyed by source, flags and interpreter."""
+    key = zlib.crc32("\0".join((_SWEEP_C, *_SWEEP_C_FLAGS)).encode())
+    return os.path.join(_NATIVE_DIR, f"_sweep_{key:08x}{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+
+
+def _build_native(source: str, path: str) -> None:
+    """Compile source into the shared library at path with the compiler Python was built with.
+
+    The compiler writes a temporary file in the same directory, which then
+    replaces path in one step, so processes that build at once each leave
+    a whole library; a failed build removes its temporary file.  Raises
+    OSError when there is no compiler or the build fails.
+    """
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [*compiler, *_SWEEP_C_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+            input=source.encode(), capture_output=True,
+        )
+        if done.returncode != 0:
+            raise OSError(f"{compiler[0]} exited with {done.returncode}: {done.stderr.decode(errors='replace')}")
+        os.chmod(tmp, 0o755)  # mkstemp made it private to this user
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def _native_agrees(kernel) -> bool:
+    """Whether kernel gives _sweep_scalar's bytes and random stream on a fixed case.
+
+    Six fireflies in a box of width 2 with steps of scale 1, so moves pass
+    both bounds; fitness [0, 1, 1, 2, 3, 4] gives one walker and one tie
+    group.  Both schemes, with and without elitism.
+    """
+    objective = Objective(3, np.full(3, -1.0), np.ones(3), eval=np.sum)
+    fitness = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0])
+    for scheme in UPDATE_SCHEMES:
+        for elitism in (False, True):
+            params = FaParams(gamma=2.0, beta0=0.9, pop_size=6, update_scheme=scheme, elitism=elitism)
+            swept = []
+            for sweep in (_sweep_scalar, partial(_sweep_native, kernel)):
+                rng = np.random.default_rng(2)
+                state = SwarmState(random_positions(rng, objective, 6), fitness.copy(), 0, 0, None, rng)
+                sweep(state, objective, params, 0.5, None)
+                swept.append((state.positions.tobytes(), state.rng.bit_generator.state))
+            if swept[0] != swept[1]:
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _load_native_sweep() -> tuple[Optional[Callable], str]:
+    """(the C sweep, "") if _SWEEP_C builds, loads and passes _native_agrees; else (None, why not).
+
+    pairwise_sweep calls it at its first sweep in a process, never at
+    import.  The library is built once per machine and interpreter into
+    _NATIVE_DIR and loaded from there afterwards.
+    """
+    path = _native_path()
+    try:
+        if not os.path.exists(path):
+            _build_native(_SWEEP_C, path)
+        kernel = ctypes.CDLL(path).fa_sweep
+    except (OSError, AttributeError) as exc:
+        return None, f"the C sweep did not build or load: {exc}"
+    kernel.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5 + [ctypes.c_double] * 2 + [ctypes.c_int] * 2
+    kernel.restype = None
+    if not _native_agrees(kernel):
+        return None, f"{path} does not give the Python sweep's bytes"
+    return kernel, ""
 
 
 def step(

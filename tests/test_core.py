@@ -5,7 +5,10 @@ import copy
 import functools
 import io
 import math
+import os
 import re
+import shutil
+import sysconfig
 import threading
 import time
 import tokenize
@@ -757,9 +760,26 @@ def _sweep_bytes(state):
     return [fly.position.tobytes() for fly in state.fireflies], state.rng.bit_generator.state
 
 
+def _sweep_native(state, obj, params, alpha_t, eps_fn):
+    """core._sweep_native with the C sweep this process loaded."""
+    core._sweep_native(core._load_native_sweep()[0], state, obj, params, alpha_t, eps_fn)
+
+
+def _without_native(monkeypatch):
+    """Make the loader report no C sweep, so pairwise_sweep takes the Python paths."""
+    monkeypatch.setattr(core, "_load_native_sweep", lambda: (None, "no C sweep in this test"))
+
+
 def _assert_paths_agree(state, obj, params, alpha_t=0.3, eps_fn=None, generations=2,
                         paths=(core._sweep_scalar, core._sweep_rows)):
-    """Each sweep path against the hand-written loop in sweep_oracle, byte for byte."""
+    """Each sweep path, and the C sweep, against the hand-written loop in sweep_oracle, byte for byte.
+
+    Without a C sweep the given paths are still compared; the test is then
+    skipped, with the loader's reason.
+    """
+    kernel, why = core._load_native_sweep()
+    if kernel is not None:
+        paths = (*paths, _sweep_native)
     oracle, copies = state, [copy.deepcopy(state) for _ in paths]
     for _ in range(generations):
         sweep_scalar(oracle, obj, params, alpha_t, eps_fn)
@@ -769,6 +789,8 @@ def _assert_paths_agree(state, obj, params, alpha_t=0.3, eps_fn=None, generation
         for s in (oracle, *copies):
             s.fitness[:] = [obj.eval(row) for row in s.positions]
             order(s)
+    if kernel is None:
+        pytest.skip(f"C sweep not compared: {why}")
 
 
 SCHEMES = ("asynchronous", "synchronous")
@@ -901,6 +923,7 @@ def _spy_compile(monkeypatch, delay=0.0):
 
 
 def test_sweep_kernel_compiles_once_per_dim(monkeypatch):
+    _without_native(monkeypatch)
     sources = _spy_compile(monkeypatch)
     for dim in (3, 4):
         for scheme in SCHEMES:
@@ -973,12 +996,165 @@ def test_sweep_kernel_first_call_from_two_threads(monkeypatch):
 
 @pytest.mark.parametrize("pop, dim", [(1, core.ROW_SWEEP_MIN_CELLS), (20, core.ROW_SWEEP_MIN_CELLS // 20 - 1)])
 def test_pairwise_sweep_dispatches_on_row_sweep_min_cells(pop, dim, monkeypatch):
+    _without_native(monkeypatch)
     taken = []
     monkeypatch.setattr(core, "_sweep_rows", lambda *args: taken.append("rows"))
     monkeypatch.setattr(core, "_sweep_scalar", lambda *args: taken.append("scalar"))
     obj, state = _sweep_state(pop, dim, seed=0)
     pairwise_sweep(state, obj, FaParams(pop_size=pop, max_fes=10 * pop), 0.1)
     assert taken == ["rows" if pop * dim >= core.ROW_SWEEP_MIN_CELLS else "scalar"]
+
+
+def test_pairwise_sweep_takes_the_c_sweep_when_it_loads(monkeypatch):
+    kernel, why = core._load_native_sweep()
+    if kernel is None:
+        pytest.skip(f"no C sweep: {why}")
+    taken = []
+    monkeypatch.setattr(core, "_sweep_rows", lambda *args: taken.append("rows"))
+    monkeypatch.setattr(core, "_sweep_scalar", lambda *args: taken.append("scalar"))
+    for pop, dim in [(20, 3), (40, 10)]:
+        obj, state = _sweep_state(pop, dim, seed=0)
+        params = FaParams(pop_size=pop, max_fes=10 * pop)
+        expected = copy.deepcopy(state)
+        sweep_scalar(expected, obj, params, 0.1, None)
+        pairwise_sweep(state, obj, params, 0.1)
+        assert _sweep_bytes(state) == _sweep_bytes(expected)
+    assert taken == []
+
+
+@pytest.mark.parametrize("path", ["python", "c"])
+@pytest.mark.parametrize(
+    "pop, dim, fitness",
+    [
+        (5, 3, [3.0, 1.0, 2.0, 0.0, 4.0]),
+        (5, 3, [0.0, 1.0, math.nan, 3.0, 4.0]),
+        (1, 3, [math.nan]),
+        (200, 3, list(range(200, 0, -1))),
+    ],
+    ids=["unsorted", "nan", "nan_alone", "descending_above_crossover"],
+)
+def test_pairwise_sweep_rejects_unsorted_or_nan_fitness_before_drawing(pop, dim, fitness, path, monkeypatch):
+    if path == "python":
+        _without_native(monkeypatch)
+    elif core._load_native_sweep()[0] is None:
+        pytest.skip(f"no C sweep: {core._load_native_sweep()[1]}")
+    obj, state = _sweep_state(pop, dim, seed=1)
+    state.fitness[:] = fitness
+    before = _sweep_bytes(state)
+    with pytest.raises(ValueError, match="sorted ascending with no NaN"):
+        pairwise_sweep(state, obj, FaParams(pop_size=pop, max_fes=10 * pop), 0.1)
+    assert _sweep_bytes(state) == before
+
+
+# --------------------------------------------------------- C sweep loader
+
+
+HAVE_CC = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) is not None
+needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler to build the C sweep")
+
+
+@pytest.fixture
+def native_dir(tmp_path, monkeypatch):
+    """An empty cache directory for the C sweep; the loader forgets its result before and after."""
+    cache = tmp_path / "__pycache__"
+    monkeypatch.setattr(core, "_NATIVE_DIR", str(cache))
+    core._load_native_sweep.cache_clear()
+    yield cache
+    core._load_native_sweep.cache_clear()
+
+
+def _assert_python_sweep_bytes(monkeypatch):
+    """pairwise_sweep gives the oracle's bytes at shapes on both sides of ROW_SWEEP_MIN_CELLS, on the Python paths."""
+    taken = []
+
+    def recording(name, sweep):
+        def record(*args):
+            taken.append(name)
+            sweep(*args)
+        return record
+
+    for name in ("_sweep_scalar", "_sweep_rows"):
+        monkeypatch.setattr(core, name, recording(name, getattr(core, name)))
+    for pop, dim in [(20, 3), (40, 10)]:
+        for scheme in SCHEMES:
+            obj, state = _sweep_state(pop, dim, seed=dim)
+            params = FaParams(pop_size=pop, max_fes=10 * pop, update_scheme=scheme)
+            expected = copy.deepcopy(state)
+            sweep_scalar(expected, obj, params, 0.3, None)
+            pairwise_sweep(state, obj, params, 0.3)
+            assert _sweep_bytes(state) == _sweep_bytes(expected)
+    assert taken == ["_sweep_scalar", "_sweep_scalar", "_sweep_rows", "_sweep_rows"]
+
+
+@pytest.mark.parametrize("cause", ["no_compiler", "cache_not_writable"])
+def test_c_sweep_that_cannot_build_falls_back_to_the_same_bytes(cause, native_dir, tmp_path, monkeypatch):
+    if cause == "no_compiler":
+        monkeypatch.setitem(sysconfig.get_config_vars(), "CC", "no-such-compiler-for-fireflyopt")
+    else:
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(core, "_NATIVE_DIR", str(tmp_path / "file" / "__pycache__"))
+    _assert_python_sweep_bytes(monkeypatch)
+    kernel, why = core._load_native_sweep()
+    assert kernel is None and "did not build or load" in why
+    if cause == "no_compiler":
+        assert "no-such-compiler-for-fireflyopt" in why
+        assert list(native_dir.iterdir()) == []
+
+
+@needs_cc
+def test_c_sweep_that_fails_the_self_check_is_not_used(native_dir, monkeypatch):
+    # float exp in place of exp, built where the right library belongs
+    wrong = core._SWEEP_C.replace("beta0 * exp(", "beta0 * expf(")
+    assert wrong != core._SWEEP_C
+    core._build_native(wrong, core._native_path())
+    kernel, why = core._load_native_sweep()
+    assert kernel is None and "does not give the Python sweep's bytes" in why
+    _assert_python_sweep_bytes(monkeypatch)
+
+
+@needs_cc
+def test_cached_c_sweep_loads_without_running_the_compiler(native_dir, monkeypatch):
+    builds = []
+    build = core._build_native
+    monkeypatch.setattr(core, "_build_native", lambda *args: builds.append(args) or build(*args))
+    for _ in range(2):
+        kernel, why = core._load_native_sweep()
+        assert kernel is not None, why
+        assert len(builds) == 1
+        core._load_native_sweep.cache_clear()
+    assert [p.name for p in native_dir.iterdir()] == [os.path.basename(core._native_path())]
+
+
+def test_failed_c_sweep_build_leaves_no_temporary_file(native_dir, tmp_path, monkeypatch):
+    # a compiler that writes its output file and then fails
+    cc = tmp_path / "failing-cc"
+    cc.write_text('#!/bin/sh\nwhile [ $# -gt 0 ]; do [ "$1" = -o ] && echo partial > "$2"; shift; done\nexit 1\n')
+    cc.chmod(0o755)
+    monkeypatch.setitem(sysconfig.get_config_vars(), "CC", str(cc))
+    kernel, why = core._load_native_sweep()
+    assert kernel is None and "exited with 1" in why
+    assert list(native_dir.iterdir()) == []
+
+
+def test_c_sweep_self_check_case_has_a_walker_a_tie_and_moves_past_both_bounds(monkeypatch):
+    kernel, why = core._load_native_sweep()
+    if kernel is None:
+        pytest.skip(f"no C sweep: {why}")
+    seen = []
+    scalar = core._sweep_scalar
+
+    def spy(state, obj, params, alpha_t, eps_fn):
+        scalar(state, obj, params, alpha_t, eps_fn)
+        seen.append((params.update_scheme, params.elitism, state.fitness.tolist(), state.positions, obj))
+
+    monkeypatch.setattr(core, "_sweep_scalar", spy)
+    assert core._native_agrees(kernel)
+    assert sorted((scheme, elitism) for scheme, elitism, *_ in seen) == sorted(
+        (scheme, elitism) for scheme in SCHEMES for elitism in (False, True)
+    )
+    for _, _, fitness, positions, obj in seen:
+        assert fitness.count(fitness[0]) == 1 and len(set(fitness)) < len(fitness)
+        assert (positions == obj.lower).any() and (positions == obj.upper).any()
 
 
 # -------------------------------------------------------------------- run

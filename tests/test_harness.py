@@ -18,6 +18,7 @@ from fireflyopt import (
     RunReport,
     SummaryStats,
     benchmark_names,
+    core,
     harness,
     parse_config,
     run_experiment,
@@ -571,6 +572,27 @@ def test_cli_import_leaves_out_concurrent_futures():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_subprocess_and_hashlib():
+    # subprocess is for building the C sweep, once per machine; hashlib adds
+    # about 3.5 MiB of resident memory (a run loads it anyway, when
+    # numpy.random imports secrets, but the import alone must not)
+    code = (
+        "import sys\nimport fireflyopt.cli\n"
+        "print(sorted({'subprocess', 'hashlib'} & set(sys.modules)))\n"
+        "from fireflyopt import FaParams, lookup, run\n"
+        "run(lookup('sphere', 3), FaParams(pop_size=5, max_fes=20), seed=1)\n"
+        "print('subprocess' in sys.modules)\n"
+    )
+    cached = core._load_native_sweep()[0] is not None  # built here first, if it can be
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    after_import, after_run = done.stdout.splitlines()
+    assert after_import == "[]"
+    # without a C sweep to load, a run's first sweep imports subprocess to try the build
+    if cached:
+        assert after_run == "False"
 
 
 @pytest.mark.parametrize("workers", [0, -3])
