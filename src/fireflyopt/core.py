@@ -21,7 +21,6 @@ import importlib.machinery
 import math
 import os
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby
@@ -35,10 +34,6 @@ from .randomization import ScheduleDescriptor, alpha_at, gaussian_step, uniform_
 _EPSILON_STEPS = {"gaussian": gaussian_step, "uniform_centered": uniform_centered_step}
 EPSILON_KINDS = tuple(_EPSILON_STEPS)
 UPDATE_SCHEMES = ("asynchronous", "synchronous")
-# pop * dim from which pairwise_sweep batches its moves across rows
-# (_sweep_rows); below it the per-step numpy overhead outweighs the Python
-# float operations it saves.  Measured crossover: see the README.
-ROW_SWEEP_MIN_CELLS = 300
 
 
 class EvaluationError(RuntimeError):
@@ -377,17 +372,13 @@ def pairwise_sweep(
     The fitness must be sorted ascending with no NaN (order does this);
     otherwise a ValueError is raised before any random draw.
 
-    Three implementations give the same positions and leave the random
+    Two implementations give the same positions and leave the random
     stream in the same state, bit for bit: _sweep_native runs the moves in
     the C loop _SWEEP_C; _sweep_scalar runs them on plain Python floats,
-    one firefly at a time, in a kernel compiled per dim; _sweep_rows makes
-    the same moves in the same per-element order but batches each step
-    across rows with numpy.  The C loop is taken whenever its library
-    builds, loads and passes its self-check (_load_native_sweep, once per
-    process).  Otherwise the row path is taken when pop * dim reaches
-    ROW_SWEEP_MIN_CELLS; below that its per-step numpy overhead costs more
-    than it saves, so the scalar kernel stays for small shapes (the
-    paper-scale ones).
+    one firefly at a time, in a kernel compiled per dim.  The C loop is
+    taken whenever its library builds, loads and passes its self-check
+    (_load_native_sweep, once per process); otherwise the scalar kernel
+    runs, at every shape.
     """
     fit = state.fitness
     if np.isnan(fit).any() or (fit[1:] < fit[:-1]).any():
@@ -395,17 +386,29 @@ def pairwise_sweep(
     kernel = _load_native_sweep()[0]
     if kernel is not None:
         _sweep_native(kernel, state, objective, params, alpha_t, eps_fn)
-    elif state.positions.size >= ROW_SWEEP_MIN_CELLS:
-        _sweep_rows(state, objective, params, alpha_t, eps_fn)
     else:
         _sweep_scalar(state, objective, params, alpha_t, eps_fn)
+
+
+def _counts_and_steps(state, objective, params, eps_fn) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, eps): each firefly's count of strictly brighter peers, and the sweep's one draw.
+
+    Once sorted, those peers are the prefix before the firefly's tie group.
+    The draw holds one dim-row per move and per walker, in sweep order.
+    """
+    fit = state.fitness
+    counts = np.searchsorted(fit, fit, side="left")
+    walkers = 0 if params.elitism else int(np.count_nonzero(counts == 0))
+    eps = _draw_eps_rows(state.rng, int(counts.sum()) + walkers, objective.dim, params.epsilon_kind, eps_fn)
+    return counts, eps
 
 
 # The scalar sweep for one dim, its loops over d unrolled into locals: p0, p1,
 # ... the moving firefly, a.. a peer, d.. their difference, n.. its normalized
 # form, e.. the random step, c.. the synchronous sums; bounds gives l.., h.. and
-# w.. (lower, upper, 1/width).  {p} and the like expand to "p0, p1, ...", {r2}
-# to "n0 * n0 + n1 * n1 + ...", and a run of @ lines at one indent repeats per d.
+# w.. (lower, upper, 1/width).  {p} and the like expand to "p0, p1, ...", and a
+# run of @ lines at one indent repeats per d.  r^2 is summed one statement per d:
+# one expression nests a level per d, which fails to compile at a few thousand.
 _SWEEP_TEMPLATE = """\
 def sweep(pos, counts, next_step, bounds, beta0, ng, elitism, synchronous, exp):
     {l}, {h}, {w}, = bounds
@@ -425,7 +428,9 @@ def sweep(pos, counts, next_step, bounds, beta0, ng, elitism, synchronous, exp):
                 {a}, = pos[j]
                 @d{d} = a{d} - p{d}
                 @n{d} = d{d} * w{d}
-                beta = beta0 * exp(ng * ({r2}))
+                rsq = 0.0
+                @rsq += n{d} * n{d}
+                beta = beta0 * exp(ng * rsq)
                 {e}, = next_step()
                 @c{d} += beta * d{d} + e{d}
             @v = p{d} + c{d}
@@ -435,7 +440,9 @@ def sweep(pos, counts, next_step, bounds, beta0, ng, elitism, synchronous, exp):
                 {a}, = out[j]
                 @d{d} = a{d} - p{d}
                 @n{d} = d{d} * w{d}
-                beta = beta0 * exp(ng * ({r2}))
+                rsq = 0.0
+                @rsq += n{d} * n{d}
+                beta = beta0 * exp(ng * rsq)
                 {e}, = next_step()
                 @v = p{d} + beta * d{d} + e{d}
                 @p{d} = l{d} if v < l{d} else h{d} if v > h{d} else v
@@ -518,7 +525,7 @@ _SWEEP_C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _NATIVE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 
 
-# unbounded, but pairwise_sweep asks only for dims below ROW_SWEEP_MIN_CELLS
+# one entry per dim swept in Python: every dim without the C loop, dim 3 for its self-check
 @lru_cache(maxsize=None)
 def _sweep_kernel(dim: int) -> Callable:
     """_SWEEP_TEMPLATE compiled for dim; it interpolates only integers from range(dim)."""
@@ -526,7 +533,6 @@ def _sweep_kernel(dim: int) -> Callable:
         raise ValueError(f"dim must be an int >= 1, got {dim!r}")
     dims = range(dim)
     fields = {name: ", ".join(f"{name}{d}" for d in dims) for name in "lhwpeca"}
-    fields["r2"] = " + ".join(f"n{d} * n{d}" for d in dims)
     lines = []
     for at, group in groupby(_SWEEP_TEMPLATE.splitlines(), key=lambda line: line.find("@")):
         if at < 0:
@@ -540,78 +546,17 @@ def _sweep_kernel(dim: int) -> Callable:
 
 
 def _sweep_scalar(state, objective, params, alpha_t, eps_fn) -> None:
-    """pairwise_sweep on plain Python floats, in the kernel for objective.dim: the small-shape path."""
-    fit, width = state.fitness.tolist(), objective.width
-    # After sorting, the strictly brighter peers of firefly i are exactly
-    # the prefix before its tie group.
-    counts = [bisect_left(fit, value) for value in fit]
-    walkers = 0 if params.elitism else counts.count(0)
-    eps = _draw_eps_rows(state.rng, sum(counts) + walkers, objective.dim, params.epsilon_kind, eps_fn)
+    """pairwise_sweep on plain Python floats, in the kernel for objective.dim: the fallback to the C loop."""
+    counts, eps = _counts_and_steps(state, objective, params, eps_fn)
+    width = objective.width
     # steps: (alpha_t * width) * eps, one rounding per element, as dim-tuples cut from one flat list
     next_step = zip(*[iter((eps * (alpha_t * width)).ravel().tolist())] * objective.dim).__next__
     bounds = np.concatenate([objective.lower, objective.upper, 1.0 / width]).tolist()
     rows = _sweep_kernel(objective.dim)(
-        state.positions.tolist(), counts, next_step, bounds, params.beta0, -params.gamma,
+        state.positions.tolist(), counts.tolist(), next_step, bounds, params.beta0, -params.gamma,
         params.elitism, params.update_scheme == "synchronous", math.exp,
     )
     state.positions = np.array(rows, dtype=float)
-
-
-def _sweep_rows(state, objective, params, alpha_t, eps_fn) -> None:
-    """pairwise_sweep batched across rows, bit for bit equal to _sweep_scalar.
-
-    After sorting, the count c_i of strictly brighter peers is
-    non-decreasing in i and c_i <= i, so row t is final once it has made its
-    c_t moves.  The asynchronous sweep is therefore a wavefront: at step t
-    every row with c_i > t (a suffix of the population) moves toward row t
-    at once.  The synchronous sweep adds term j for every such row into an
-    accumulator over the snapshot, in the same j order.  Each element sees
-    the scalar loop's operations in the scalar loop's order: the random
-    steps come from one draw, row (i, t) at the scalar loop's draw offset of
-    i plus t; r^2 is summed in order along d; exp is math.exp, which
-    np.exp does not match to the last ulp.  The moves land in state.positions in place.
-    """
-    dim = objective.dim
-    lo = objective.lower
-    hi = objective.upper
-    width = hi - lo
-    inv_w = 1.0 / width
-    aw = alpha_t * width
-    neg_gamma = -params.gamma
-    beta0 = params.beta0
-    pos, fit = state.positions, state.fitness
-    counts = np.searchsorted(fit, fit, side="left")
-    # rows before `first` have no brighter peer; starts[t] is the first row
-    # with more than t of them
-    first = int(np.searchsorted(counts, 0, side="right"))
-    starts = np.searchsorted(counts, np.arange(counts[-1]), side="right").tolist()
-    draws = np.where(counts == 0, 0 if params.elitism else 1, counts)
-    offsets = np.cumsum(draws) - draws
-    eps = _draw_eps_rows(state.rng, int(draws.sum()), dim, params.epsilon_kind, eps_fn)
-
-    def clamp(v):
-        return np.where(v < lo, lo, np.where(v > hi, hi, v))
-
-    def attraction(target, rows):
-        # beta * (target - rows) per row, as the scalar loop computes it
-        diff = target - rows
-        nd = diff * inv_w
-        r2 = np.add.accumulate(nd * nd, axis=1)[:, -1]
-        beta = beta0 * np.fromiter(map(math.exp, (neg_gamma * r2).tolist()), float, len(r2))
-        return beta[:, None] * diff
-
-    synchronous = params.update_scheme == "synchronous"
-    if synchronous:
-        acc = np.zeros((len(pos) - first, dim))
-        for j, s in enumerate(starts):
-            acc[s - first :] += attraction(pos[j], pos[s:]) + aw * eps[offsets[s:] + j]
-        pos[first:] = clamp(pos[first:] + acc)
-    # a walker reads only its own row, which the synchronous update leaves alone
-    if not params.elitism:
-        pos[:first] = clamp(pos[:first] + aw * eps[offsets[:first]])
-    if not synchronous:
-        for t, s in enumerate(starts):
-            pos[s:] = clamp((pos[s:] + attraction(pos[t], pos[s:])) + aw * eps[offsets[s:] + t])
 
 
 def _sweep_native(kernel, state, objective, params, alpha_t, eps_fn) -> None:
@@ -622,12 +567,10 @@ def _sweep_native(kernel, state, objective, params, alpha_t, eps_fn) -> None:
     """
     dim = objective.dim
     pos = np.ascontiguousarray(state.positions, dtype=float)
-    fit = state.fitness
-    if pos.shape != (len(fit), dim):
-        raise ValueError(f"positions must have shape ({len(fit)}, {dim}), got {pos.shape}")
-    counts = np.searchsorted(fit, fit, side="left").astype(np.int64, copy=False)
-    walkers = 0 if params.elitism else int(np.count_nonzero(counts == 0))
-    eps = _draw_eps_rows(state.rng, int(counts.sum()) + walkers, dim, params.epsilon_kind, eps_fn)
+    if pos.shape != (len(state.fitness), dim):
+        raise ValueError(f"positions must have shape ({len(state.fitness)}, {dim}), got {pos.shape}")
+    counts, eps = _counts_and_steps(state, objective, params, eps_fn)
+    counts = counts.astype(np.int64, copy=False)
     eps = np.ascontiguousarray(eps)
     width = objective.width
     bounds = np.concatenate([objective.lower, objective.upper, 1.0 / width, alpha_t * width])

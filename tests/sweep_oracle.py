@@ -2,10 +2,10 @@
 
 This is the loop that core._sweep_scalar ran before it became a kernel
 generated per dimension.  It is written out by hand, not generated, so the
-tests can byte-compare the sweep paths of core.pairwise_sweep (the
-generated kernel, the row path and the C loop) against it: same positions,
-same random stream state afterwards.  It shares only the random-step draw
-with the package.
+tests can byte-compare both sweep paths of core.pairwise_sweep (the
+generated kernel and the C loop) against it: same positions, same random
+stream state afterwards.  It shares only the random-step draw with the
+package.
 """
 
 import math

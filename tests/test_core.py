@@ -771,10 +771,10 @@ def _without_native(monkeypatch):
 
 
 def _assert_paths_agree(state, obj, params, alpha_t=0.3, eps_fn=None, generations=2,
-                        paths=(core._sweep_scalar, core._sweep_rows)):
-    """Each sweep path, and the C sweep, against the hand-written loop in sweep_oracle, byte for byte.
+                        paths=(core._sweep_scalar,)):
+    """The scalar kernel, and the C sweep, against the hand-written loop in sweep_oracle, byte for byte.
 
-    Without a C sweep the given paths are still compared; the test is then
+    Without a C sweep the kernel is still compared; the test is then
     skipped, with the loader's reason.
     """
     kernel, why = core._load_native_sweep()
@@ -864,13 +864,11 @@ def test_row_sweep_matches_scalar_oracle_at_random_shapes(
     _assert_paths_agree(state, obj, params, alpha_t, eps_fn)
 
 
-# paper-scale shapes, and narrow ones (pop 1-7) up to the largest pop * dim
-# below ROW_SWEEP_MIN_CELLS, such as 2 x 149
+# paper-scale shapes, and narrow ones (pop 1-7) with pop * dim up to 299,
+# such as 2 x 149
 _KERNEL_SHAPES = st.one_of(
     st.tuples(st.integers(1, 40), st.integers(1, 24)),
-    st.integers(1, 7).flatmap(
-        lambda pop: st.tuples(st.just(pop), st.integers(25, (core.ROW_SWEEP_MIN_CELLS - 1) // pop))
-    ),
+    st.integers(1, 7).flatmap(lambda pop: st.tuples(st.just(pop), st.integers(25, 299 // pop))),
 )
 
 
@@ -905,7 +903,28 @@ def test_sweep_kernel_matches_scalar_oracle(
         update_scheme=scheme, elitism=elitism,
     )
     eps_fn = None if levy_lambda is None else (lambda rng, n: levy_step(rng, n, levy_lambda))
-    _assert_paths_agree(state, obj, params, alpha_t, eps_fn, paths=(core._sweep_scalar,))
+    _assert_paths_agree(state, obj, params, alpha_t, eps_fn)
+
+
+def test_sweep_kernel_matches_scalar_oracle_at_dim_4000():
+    # r^2 as one expression nested a level per d did not compile here
+    # (RecursionError).  One compile serves both schemes; the kernel's
+    # memory is handed back afterwards.
+    paths = [core._sweep_scalar]
+    if core._load_native_sweep()[0] is not None:
+        paths.append(_sweep_native)
+    try:
+        for scheme in SCHEMES:
+            obj, state = _sweep_state(2, 4000, seed=4)
+            params = FaParams(gamma=2.0, pop_size=2, max_fes=20, update_scheme=scheme)
+            expected = copy.deepcopy(state)
+            sweep_scalar(expected, obj, params, 0.3, None)
+            for path in paths:
+                swept = copy.deepcopy(state)
+                path(swept, obj, params, 0.3, None)
+                assert _sweep_bytes(swept) == _sweep_bytes(expected), (scheme, path.__name__)
+    finally:
+        core._sweep_kernel.cache_clear()
 
 
 def _spy_compile(monkeypatch, delay=0.0):
@@ -994,23 +1013,11 @@ def test_sweep_kernel_first_call_from_two_threads(monkeypatch):
         assert _sweep_bytes(s) == _sweep_bytes(expected)
 
 
-@pytest.mark.parametrize("pop, dim", [(1, core.ROW_SWEEP_MIN_CELLS), (20, core.ROW_SWEEP_MIN_CELLS // 20 - 1)])
-def test_pairwise_sweep_dispatches_on_row_sweep_min_cells(pop, dim, monkeypatch):
-    _without_native(monkeypatch)
-    taken = []
-    monkeypatch.setattr(core, "_sweep_rows", lambda *args: taken.append("rows"))
-    monkeypatch.setattr(core, "_sweep_scalar", lambda *args: taken.append("scalar"))
-    obj, state = _sweep_state(pop, dim, seed=0)
-    pairwise_sweep(state, obj, FaParams(pop_size=pop, max_fes=10 * pop), 0.1)
-    assert taken == ["rows" if pop * dim >= core.ROW_SWEEP_MIN_CELLS else "scalar"]
-
-
 def test_pairwise_sweep_takes_the_c_sweep_when_it_loads(monkeypatch):
     kernel, why = core._load_native_sweep()
     if kernel is None:
         pytest.skip(f"no C sweep: {why}")
     taken = []
-    monkeypatch.setattr(core, "_sweep_rows", lambda *args: taken.append("rows"))
     monkeypatch.setattr(core, "_sweep_scalar", lambda *args: taken.append("scalar"))
     for pop, dim in [(20, 3), (40, 10)]:
         obj, state = _sweep_state(pop, dim, seed=0)
@@ -1064,18 +1071,16 @@ def native_dir(tmp_path, monkeypatch):
 
 
 def _assert_python_sweep_bytes(monkeypatch):
-    """pairwise_sweep gives the oracle's bytes at shapes on both sides of ROW_SWEEP_MIN_CELLS, on the Python paths."""
+    """pairwise_sweep gives the oracle's bytes in the scalar kernel, at narrow, paper and wider shapes."""
     taken = []
+    scalar = core._sweep_scalar
 
-    def recording(name, sweep):
-        def record(*args):
-            taken.append(name)
-            sweep(*args)
-        return record
+    def record(*args):
+        taken.append("_sweep_scalar")
+        scalar(*args)
 
-    for name in ("_sweep_scalar", "_sweep_rows"):
-        monkeypatch.setattr(core, name, recording(name, getattr(core, name)))
-    for pop, dim in [(20, 3), (40, 10)]:
+    monkeypatch.setattr(core, "_sweep_scalar", record)
+    for pop, dim in [(20, 3), (40, 10), (1, 300)]:
         for scheme in SCHEMES:
             obj, state = _sweep_state(pop, dim, seed=dim)
             params = FaParams(pop_size=pop, max_fes=10 * pop, update_scheme=scheme)
@@ -1083,7 +1088,7 @@ def _assert_python_sweep_bytes(monkeypatch):
             sweep_scalar(expected, obj, params, 0.3, None)
             pairwise_sweep(state, obj, params, 0.3)
             assert _sweep_bytes(state) == _sweep_bytes(expected)
-    assert taken == ["_sweep_scalar", "_sweep_scalar", "_sweep_rows", "_sweep_rows"]
+    assert taken == ["_sweep_scalar"] * 6
 
 
 @pytest.mark.parametrize("cause", ["no_compiler", "cache_not_writable"])

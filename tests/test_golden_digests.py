@@ -30,7 +30,7 @@ pop_size: 10
 max_fes: 600
 """
 
-ABOVE_CROSSOVER = """\
+D10_POP40 = """\
 benchmark: rastrigin
 variant: {variant}
 repetitions: 2
@@ -66,9 +66,10 @@ CONFIGS = {
     + "update_scheme: synchronous\n",
     "four_peaks_base": SMALL.format(benchmark="four_peaks", variant="base"),
     "rastrigin_base_d3": SMALL.format(benchmark="rastrigin", variant="base").replace("dim: 2", "dim: 3"),
-    # pop * dim above core.ROW_SWEEP_MIN_CELLS: these pin the row-parallel sweep
+    # 400 cells: these pin the C loop, and the scalar kernel at that size when
+    # the loader is disabled
     **{
-        f"rastrigin_{name}_d10_pop40": ABOVE_CROSSOVER.format(variant=variant) + extra
+        f"rastrigin_{name}_d10_pop40": D10_POP40.format(variant=variant) + extra
         for name, variant, extra in (
             ("base", "base", ""),
             ("base_synchronous", "base", "update_scheme: synchronous\n"),
