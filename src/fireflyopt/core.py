@@ -369,38 +369,32 @@ def pairwise_sweep(
     eps_fn overrides the random-step source (signature: rng, n -> vector);
     by default steps follow params.epsilon_kind.
 
-    The fitness must be sorted ascending with no NaN (order does this);
-    otherwise a ValueError is raised before any random draw.
+    The fitness must be sorted ascending with no NaN (order does this) and
+    positions must have shape (len(fitness), objective.dim); otherwise a
+    ValueError is raised before any random draw.
 
-    Two implementations give the same positions and leave the random
-    stream in the same state, bit for bit: _sweep_native runs the moves in
-    the C loop _SWEEP_C; _sweep_scalar runs them on plain Python floats,
-    one firefly at a time, in a kernel compiled per dim.  The C loop is
-    taken whenever its library builds, loads and passes its self-check
-    (_load_native_sweep, once per process); otherwise the scalar kernel
-    runs, at every shape.
+    The checks, counts, draw and bounds are made here, once, and handed to
+    one of two kernels that return the same positions bit for bit: the C
+    loop _SWEEP_C whenever its library builds, loads and passes its
+    self-check (_load_native_sweep, once per process), else _sweep_python,
+    on plain Python floats in a kernel compiled per dim.
     """
     fit = state.fitness
     if np.isnan(fit).any() or (fit[1:] < fit[:-1]).any():
         raise ValueError("pairwise_sweep needs fitness sorted ascending with no NaN (call order first)")
-    kernel = _load_native_sweep()[0]
-    if kernel is not None:
-        _sweep_native(kernel, state, objective, params, alpha_t, eps_fn)
-    else:
-        _sweep_scalar(state, objective, params, alpha_t, eps_fn)
-
-
-def _counts_and_steps(state, objective, params, eps_fn) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, eps): each firefly's count of strictly brighter peers, and the sweep's one draw.
-
-    Once sorted, those peers are the prefix before the firefly's tie group.
-    The draw holds one dim-row per move and per walker, in sweep order.
-    """
-    fit = state.fitness
+    dim = objective.dim
+    pos = np.ascontiguousarray(state.positions, dtype=float)
+    if pos.shape != (len(fit), dim):
+        raise ValueError(f"positions must have shape ({len(fit)}, {dim}), got {pos.shape}")
+    # once sorted, a firefly's strictly brighter peers are the prefix before its tie group
     counts = np.searchsorted(fit, fit, side="left")
     walkers = 0 if params.elitism else int(np.count_nonzero(counts == 0))
-    eps = _draw_eps_rows(state.rng, int(counts.sum()) + walkers, objective.dim, params.epsilon_kind, eps_fn)
-    return counts, eps
+    eps = _draw_eps_rows(state.rng, int(counts.sum()) + walkers, dim, params.epsilon_kind, eps_fn)
+    width = objective.width
+    bounds = np.concatenate([objective.lower, objective.upper, 1.0 / width, alpha_t * width])
+    kernel = _load_native_sweep()[0] or _sweep_python
+    synchronous = params.update_scheme == "synchronous"
+    state.positions = kernel(pos, counts, eps, bounds, params.beta0, -params.gamma, params.elitism, synchronous)
 
 
 # The scalar sweep for one dim, its loops over d unrolled into locals: p0, p1,
@@ -455,7 +449,7 @@ def sweep(pos, counts, next_step, bounds, beta0, ng, elitism, synchronous, exp):
 # kernel's order: r2 summed left to right, beta0 * exp(ng * r2) through libm's
 # exp (the function math.exp calls), (p + beta*d) + e, the synchronous
 # c += beta*d + e then p + c, and the same clamp.  e = eps * aw is the one
-# rounding of the Python paths' (alpha_t * width) * eps.  Rows are read from
+# rounding of _sweep_python's eps * (alpha_t * width).  Rows are read from
 # pos and written to out: an asynchronous move reads its peers' moved rows in
 # out, a synchronous one the snapshot in pos.  pairwise_sweep's order check
 # makes counts[i] <= i, so every peer row has been written already.
@@ -545,42 +539,28 @@ def _sweep_kernel(dim: int) -> Callable:
     return namespace["sweep"]
 
 
-def _sweep_scalar(state, objective, params, alpha_t, eps_fn) -> None:
-    """pairwise_sweep on plain Python floats, in the kernel for objective.dim: the fallback to the C loop."""
-    counts, eps = _counts_and_steps(state, objective, params, eps_fn)
-    width = objective.width
-    # steps: (alpha_t * width) * eps, one rounding per element, as dim-tuples cut from one flat list
-    next_step = zip(*[iter((eps * (alpha_t * width)).ravel().tolist())] * objective.dim).__next__
-    bounds = np.concatenate([objective.lower, objective.upper, 1.0 / width]).tolist()
-    rows = _sweep_kernel(objective.dim)(
-        state.positions.tolist(), counts.tolist(), next_step, bounds, params.beta0, -params.gamma,
-        params.elitism, params.update_scheme == "synchronous", math.exp,
-    )
-    state.positions = np.array(rows, dtype=float)
+def _sweep_python(pos, counts, eps, bounds, beta0, ng, elitism, synchronous) -> np.ndarray:
+    """The sweep on plain Python floats, in the kernel for pos's dim: the fallback to the C loop."""
+    dim = pos.shape[1]
+    # steps: eps * (alpha_t * width), one rounding per element, as dim-tuples cut from one flat list
+    next_step = zip(*[iter((eps * bounds[3 * dim:]).ravel().tolist())] * dim).__next__
+    rows = _sweep_kernel(dim)(pos.tolist(), counts.tolist(), next_step, bounds[:3 * dim].tolist(),
+                              beta0, ng, elitism, synchronous, math.exp)
+    return np.array(rows, dtype=float)
 
 
-def _sweep_native(kernel, state, objective, params, alpha_t, eps_fn) -> None:
-    """pairwise_sweep in kernel, the loaded _SWEEP_C, bit for bit equal to _sweep_scalar.
+def _sweep_c(fa_sweep, pos, counts, eps, bounds, beta0, ng, elitism, synchronous) -> np.ndarray:
+    """The sweep in fa_sweep, the loaded _SWEEP_C.
 
-    The steps are scaled inside the C loop, one rounding per element, so
-    the draw is neither copied nor written to.
+    pos and bounds are C-contiguous float64, as pairwise_sweep makes them.
+    The C loop scales the steps, so the draw is neither copied nor written to.
     """
-    dim = objective.dim
-    pos = np.ascontiguousarray(state.positions, dtype=float)
-    if pos.shape != (len(state.fitness), dim):
-        raise ValueError(f"positions must have shape ({len(state.fitness)}, {dim}), got {pos.shape}")
-    counts, eps = _counts_and_steps(state, objective, params, eps_fn)
     counts = counts.astype(np.int64, copy=False)
     eps = np.ascontiguousarray(eps)
-    width = objective.width
-    bounds = np.concatenate([objective.lower, objective.upper, 1.0 / width, alpha_t * width])
     out = np.empty_like(pos)
-    kernel(
-        len(pos), dim, pos.ctypes.data, out.ctypes.data, counts.ctypes.data, eps.ctypes.data,
-        bounds.ctypes.data, params.beta0, -params.gamma, params.elitism,
-        params.update_scheme == "synchronous",
-    )
-    state.positions = out
+    fa_sweep(len(pos), pos.shape[1], pos.ctypes.data, out.ctypes.data, counts.ctypes.data, eps.ctypes.data,
+             bounds.ctypes.data, beta0, ng, elitism, synchronous)
+    return out
 
 
 def _native_path() -> str:
@@ -620,31 +600,29 @@ def _build_native(source: str, path: str) -> None:
 
 
 def _native_agrees(kernel) -> bool:
-    """Whether kernel gives _sweep_scalar's bytes and random stream on a fixed case.
+    """Whether kernel gives _sweep_python's bytes on a fixed case.
 
-    Six fireflies in a box of width 2 with steps of scale 1, so moves pass
-    both bounds; fitness [0, 1, 1, 2, 3, 4] gives one walker and one tie
-    group.  Both schemes, with and without elitism.
+    Six fireflies in a box of width 2 in three dims, with steps of scale 1,
+    so moves pass both bounds; fitness [0, 1, 1, 2, 3, 4] gives one walker
+    and one tie group.  Both schemes, with and without elitism.
     """
-    objective = Objective(3, np.full(3, -1.0), np.ones(3), eval=np.sum)
     fitness = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0])
-    for scheme in UPDATE_SCHEMES:
+    counts = np.searchsorted(fitness, fitness, side="left")
+    bounds = np.repeat([-1.0, 1.0, 0.5, 1.0], 3)  # lower, upper, 1/width, alpha_t * width
+    for synchronous in (False, True):
         for elitism in (False, True):
-            params = FaParams(gamma=2.0, beta0=0.9, pop_size=6, update_scheme=scheme, elitism=elitism)
-            swept = []
-            for sweep in (_sweep_scalar, partial(_sweep_native, kernel)):
-                rng = np.random.default_rng(2)
-                state = SwarmState(random_positions(rng, objective, 6), fitness.copy(), 0, 0, None, rng)
-                sweep(state, objective, params, 0.5, None)
-                swept.append((state.positions.tobytes(), state.rng.bit_generator.state))
-            if swept[0] != swept[1]:
+            rng = np.random.default_rng(2)
+            pos = rng.uniform(-1.0, 1.0, (6, 3))
+            eps = rng.standard_normal((int(counts.sum()) + (not elitism), 3))
+            args = (pos, counts, eps, bounds, 0.9, -2.0, elitism, synchronous)
+            if kernel(*args).tobytes() != _sweep_python(*args).tobytes():
                 return False
     return True
 
 
 @lru_cache(maxsize=None)
 def _load_native_sweep() -> tuple[Optional[Callable], str]:
-    """(the C sweep, "") if _SWEEP_C builds, loads and passes _native_agrees; else (None, why not).
+    """(the C kernel, "") if _SWEEP_C builds, loads and passes _native_agrees; else (None, why not).
 
     pairwise_sweep calls it at its first sweep in a process, never at
     import.  The library is built once per machine and interpreter into
@@ -654,11 +632,12 @@ def _load_native_sweep() -> tuple[Optional[Callable], str]:
     try:
         if not os.path.exists(path):
             _build_native(_SWEEP_C, path)
-        kernel = ctypes.CDLL(path).fa_sweep
+        fa_sweep = ctypes.CDLL(path).fa_sweep
     except (OSError, AttributeError) as exc:
         return None, f"the C sweep did not build or load: {exc}"
-    kernel.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5 + [ctypes.c_double] * 2 + [ctypes.c_int] * 2
-    kernel.restype = None
+    fa_sweep.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5 + [ctypes.c_double] * 2 + [ctypes.c_int] * 2
+    fa_sweep.restype = None
+    kernel = partial(_sweep_c, fa_sweep)
     if not _native_agrees(kernel):
         return None, f"{path} does not give the Python sweep's bytes"
     return kernel, ""

@@ -1,11 +1,11 @@
 """The scalar attraction sweep as a plain loop over d, kept as a test oracle.
 
-This is the loop that core._sweep_scalar ran before it became a kernel
-generated per dimension.  It is written out by hand, not generated, so the
-tests can byte-compare both sweep paths of core.pairwise_sweep (the
-generated kernel and the C loop) against it: same positions, same random
-stream state afterwards.  It shares only the random-step draw with the
-package.
+This is the loop that the Python sweep ran before it became a kernel
+generated per dimension (core._sweep_kernel, run by core._sweep_python).
+It is written out by hand, not generated, so the tests can byte-compare
+core.pairwise_sweep on both of its kernels (the generated Python kernel and
+the C loop) against it: same positions, same random stream state
+afterwards.  It shares only the random-step draw with the package.
 """
 
 import math

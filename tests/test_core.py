@@ -12,6 +12,7 @@ import sysconfig
 import threading
 import time
 import tokenize
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -760,26 +761,34 @@ def _sweep_bytes(state):
     return [fly.position.tobytes() for fly in state.fireflies], state.rng.bit_generator.state
 
 
-def _sweep_native(state, obj, params, alpha_t, eps_fn):
-    """core._sweep_native with the C sweep this process loaded."""
-    core._sweep_native(core._load_native_sweep()[0], state, obj, params, alpha_t, eps_fn)
+def _no_native():
+    return None, "no C sweep in this test"
 
 
 def _without_native(monkeypatch):
-    """Make the loader report no C sweep, so pairwise_sweep takes the Python paths."""
-    monkeypatch.setattr(core, "_load_native_sweep", lambda: (None, "no C sweep in this test"))
+    """Make the loader report no C sweep, so pairwise_sweep takes the Python kernel."""
+    monkeypatch.setattr(core, "_load_native_sweep", _no_native)
 
 
-def _assert_paths_agree(state, obj, params, alpha_t=0.3, eps_fn=None, generations=2,
-                        paths=(core._sweep_scalar,)):
-    """The scalar kernel, and the C sweep, against the hand-written loop in sweep_oracle, byte for byte.
+def _python_sweep(state, obj, params, alpha_t, eps_fn):
+    """pairwise_sweep with the loader reporting no C sweep, so it runs _sweep_python."""
+    with mock.patch.object(core, "_load_native_sweep", _no_native):
+        pairwise_sweep(state, obj, params, alpha_t, eps_fn)
 
-    Without a C sweep the kernel is still compared; the test is then
+
+def _sweep_paths():
+    """pairwise_sweep without the C sweep, and with it when this process loads it."""
+    return [_python_sweep] + ([pairwise_sweep] if core._load_native_sweep()[0] is not None else [])
+
+
+def _assert_paths_agree(state, obj, params, alpha_t=0.3, eps_fn=None, generations=2):
+    """pairwise_sweep on the Python kernel, and on the C sweep, against the loop in sweep_oracle, byte for byte.
+
+    Without a C sweep the Python kernel is still compared; the test is then
     skipped, with the loader's reason.
     """
     kernel, why = core._load_native_sweep()
-    if kernel is not None:
-        paths = (*paths, _sweep_native)
+    paths = _sweep_paths()
     oracle, copies = state, [copy.deepcopy(state) for _ in paths]
     for _ in range(generations):
         sweep_scalar(oracle, obj, params, alpha_t, eps_fn)
@@ -910,9 +919,7 @@ def test_sweep_kernel_matches_scalar_oracle_at_dim_4000():
     # r^2 as one expression nested a level per d did not compile here
     # (RecursionError).  One compile serves both schemes; the kernel's
     # memory is handed back afterwards.
-    paths = [core._sweep_scalar]
-    if core._load_native_sweep()[0] is not None:
-        paths.append(_sweep_native)
+    paths = _sweep_paths()
     try:
         for scheme in SCHEMES:
             obj, state = _sweep_state(2, 4000, seed=4)
@@ -992,6 +999,7 @@ def test_sweep_kernel_rejects_a_dim_that_is_not_a_positive_int(dim):
 def test_sweep_kernel_first_call_from_two_threads(monkeypatch):
     # both threads reach the compile for a new dim together (the compile
     # waits), and both get the oracle's positions
+    _without_native(monkeypatch)
     _spy_compile(monkeypatch, delay=0.05)
     obj, state = _sweep_state(12, 7, seed=4)
     params = FaParams(pop_size=12, max_fes=120)
@@ -1002,7 +1010,7 @@ def test_sweep_kernel_first_call_from_two_threads(monkeypatch):
 
     def sweep(s):
         barrier.wait()
-        core._sweep_scalar(s, obj, params, 0.3, None)
+        pairwise_sweep(s, obj, params, 0.3)
 
     threads = [threading.Thread(target=sweep, args=(s,)) for s in copies]
     for thread in threads:
@@ -1018,7 +1026,7 @@ def test_pairwise_sweep_takes_the_c_sweep_when_it_loads(monkeypatch):
     if kernel is None:
         pytest.skip(f"no C sweep: {why}")
     taken = []
-    monkeypatch.setattr(core, "_sweep_scalar", lambda *args: taken.append("scalar"))
+    monkeypatch.setattr(core, "_sweep_python", lambda *args: taken.append("python"))
     for pop, dim in [(20, 3), (40, 10)]:
         obj, state = _sweep_state(pop, dim, seed=0)
         params = FaParams(pop_size=pop, max_fes=10 * pop)
@@ -1053,6 +1061,30 @@ def test_pairwise_sweep_rejects_unsorted_or_nan_fitness_before_drawing(pop, dim,
     assert _sweep_bytes(state) == before
 
 
+@pytest.mark.parametrize("loader", ["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "reshape, shape",
+    [
+        (lambda p: p[:4], (4, 5)),
+        (lambda p: np.vstack([p, p[:2]]), (8, 5)),
+        (lambda p: p[:, :4], (6, 4)),
+    ],
+    ids=["fewer_rows", "more_rows", "wrong_dim"],
+)
+def test_pairwise_sweep_rejects_positions_that_do_not_match_fitness(reshape, shape, loader, monkeypatch):
+    # the front end checks the shape for both kernels: the Python kernel zips
+    # rows with counts, so it would return a (4, 5) population for 6 fitness values
+    if loader == "disabled":
+        _without_native(monkeypatch)
+    obj, state = _sweep_state(6, 5, seed=1)
+    state.positions = reshape(state.positions)
+    positions, stream = state.positions.copy(), state.rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(f"positions must have shape (6, 5), got {shape}")):
+        pairwise_sweep(state, obj, FaParams(pop_size=6, max_fes=60), 0.1)
+    assert state.positions.tobytes() == positions.tobytes()
+    assert state.rng.bit_generator.state == stream
+
+
 # --------------------------------------------------------- C sweep loader
 
 
@@ -1071,15 +1103,15 @@ def native_dir(tmp_path, monkeypatch):
 
 
 def _assert_python_sweep_bytes(monkeypatch):
-    """pairwise_sweep gives the oracle's bytes in the scalar kernel, at narrow, paper and wider shapes."""
+    """pairwise_sweep gives the oracle's bytes in the Python kernel, at narrow, paper and wider shapes."""
     taken = []
-    scalar = core._sweep_scalar
+    python = core._sweep_python
 
     def record(*args):
-        taken.append("_sweep_scalar")
-        scalar(*args)
+        taken.append("_sweep_python")
+        return python(*args)
 
-    monkeypatch.setattr(core, "_sweep_scalar", record)
+    monkeypatch.setattr(core, "_sweep_python", record)
     for pop, dim in [(20, 3), (40, 10), (1, 300)]:
         for scheme in SCHEMES:
             obj, state = _sweep_state(pop, dim, seed=dim)
@@ -1088,7 +1120,7 @@ def _assert_python_sweep_bytes(monkeypatch):
             sweep_scalar(expected, obj, params, 0.3, None)
             pairwise_sweep(state, obj, params, 0.3)
             assert _sweep_bytes(state) == _sweep_bytes(expected)
-    assert taken == ["_sweep_scalar"] * 6
+    assert taken == ["_sweep_python"] * 6
 
 
 @pytest.mark.parametrize("cause", ["no_compiler", "cache_not_writable"])
@@ -1146,20 +1178,25 @@ def test_c_sweep_self_check_case_has_a_walker_a_tie_and_moves_past_both_bounds(m
     if kernel is None:
         pytest.skip(f"no C sweep: {why}")
     seen = []
-    scalar = core._sweep_scalar
+    python = core._sweep_python
 
-    def spy(state, obj, params, alpha_t, eps_fn):
-        scalar(state, obj, params, alpha_t, eps_fn)
-        seen.append((params.update_scheme, params.elitism, state.fitness.tolist(), state.positions, obj))
+    def spy(*args):
+        out = python(*args)
+        seen.append((args, out))
+        return out
 
-    monkeypatch.setattr(core, "_sweep_scalar", spy)
+    monkeypatch.setattr(core, "_sweep_python", spy)
     assert core._native_agrees(kernel)
-    assert sorted((scheme, elitism) for scheme, elitism, *_ in seen) == sorted(
-        (scheme, elitism) for scheme in SCHEMES for elitism in (False, True)
+    assert sorted((synchronous, elitism) for (*_, elitism, synchronous), _ in seen) == sorted(
+        (synchronous, elitism) for synchronous in (False, True) for elitism in (False, True)
     )
-    for _, _, fitness, positions, obj in seen:
-        assert fitness.count(fitness[0]) == 1 and len(set(fitness)) < len(fitness)
-        assert (positions == obj.lower).any() and (positions == obj.upper).any()
+    for (pos, counts, eps, bounds, *_), out in seen:
+        counts = counts.tolist()
+        assert pos.shape == out.shape == (6, 3)
+        # one walker (one firefly with no brighter peer) and one tie group of two
+        assert counts.count(0) == 1 and len(counts) - len(set(counts)) == 1
+        lower, upper = bounds[:3], bounds[3:6]
+        assert (out == lower).any() and (out == upper).any()
 
 
 # -------------------------------------------------------------------- run
