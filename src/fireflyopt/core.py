@@ -23,7 +23,6 @@ import os
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import groupby
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -377,7 +376,7 @@ def pairwise_sweep(
     one of two kernels that return the same positions bit for bit: the C
     loop _SWEEP_C whenever its library builds, loads and passes its
     self-check (_load_native_sweep, once per process), else _sweep_python,
-    on plain Python floats in a kernel compiled per dim.
+    the same loop on plain Python floats.
     """
     fit = state.fitness
     if np.isnan(fit).any() or (fit[1:] < fit[:-1]).any():
@@ -397,57 +396,11 @@ def pairwise_sweep(
     state.positions = kernel(pos, counts, eps, bounds, params.beta0, -params.gamma, params.elitism, synchronous)
 
 
-# The scalar sweep for one dim, its loops over d unrolled into locals: p0, p1,
-# ... the moving firefly, a.. a peer, d.. their difference, n.. its normalized
-# form, e.. the random step, c.. the synchronous sums; bounds gives l.., h.. and
-# w.. (lower, upper, 1/width).  {p} and the like expand to "p0, p1, ...", and a
-# run of @ lines at one indent repeats per d.  r^2 is summed one statement per d:
-# one expression nests a level per d, which fails to compile at a few thousand.
-_SWEEP_TEMPLATE = """\
-def sweep(pos, counts, next_step, bounds, beta0, ng, elitism, synchronous, exp):
-    {l}, {h}, {w}, = bounds
-    out = []
-    for row, ci in zip(pos, counts):
-        if ci == 0 and elitism:
-            out.append(row)
-            continue
-        {p}, = row
-        if ci == 0:
-            {e}, = next_step()
-            @v = p{d} + e{d}
-            @p{d} = l{d} if v < l{d} else h{d} if v > h{d} else v
-        elif synchronous:
-            @c{d} = 0.0
-            for j in range(ci):
-                {a}, = pos[j]
-                @d{d} = a{d} - p{d}
-                @n{d} = d{d} * w{d}
-                rsq = 0.0
-                @rsq += n{d} * n{d}
-                beta = beta0 * exp(ng * rsq)
-                {e}, = next_step()
-                @c{d} += beta * d{d} + e{d}
-            @v = p{d} + c{d}
-            @p{d} = l{d} if v < l{d} else h{d} if v > h{d} else v
-        else:
-            for j in range(ci):
-                {a}, = out[j]
-                @d{d} = a{d} - p{d}
-                @n{d} = d{d} * w{d}
-                rsq = 0.0
-                @rsq += n{d} * n{d}
-                beta = beta0 * exp(ng * rsq)
-                {e}, = next_step()
-                @v = p{d} + beta * d{d} + e{d}
-                @p{d} = l{d} if v < l{d} else h{d} if v > h{d} else v
-        out.append([{p}])
-    return out
-"""
-
-# The same sweep as one C function for any (pop, dim), built and loaded by
-# _load_native_sweep.  Each element sees the kernel's operations in the
-# kernel's order: r2 summed left to right, beta0 * exp(ng * r2) through libm's
-# exp (the function math.exp calls), (p + beta*d) + e, the synchronous
+# The sweep as one C function for any (pop, dim), built and loaded by
+# _load_native_sweep; _sweep_python is the same loop on Python floats.  Each
+# element sees the same operations in the same order in both: r2 summed left
+# to right from (a - p) * (1/width), beta0 * exp(ng * r2) through libm's exp
+# (the function math.exp calls), (p + beta*d) + e, the synchronous
 # c += beta*d + e then p + c, and the same clamp.  e = eps * aw is the one
 # rounding of _sweep_python's eps * (alpha_t * width).  Rows are read from
 # pos and written to out: an asynchronous move reads its peers' moved rows in
@@ -519,34 +472,49 @@ _SWEEP_C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _NATIVE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 
 
-# one entry per dim swept in Python: every dim without the C loop, dim 3 for its self-check
-@lru_cache(maxsize=None)
-def _sweep_kernel(dim: int) -> Callable:
-    """_SWEEP_TEMPLATE compiled for dim; it interpolates only integers from range(dim)."""
-    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"dim must be an int >= 1, got {dim!r}")
-    dims = range(dim)
-    fields = {name: ", ".join(f"{name}{d}" for d in dims) for name in "lhwpeca"}
-    lines = []
-    for at, group in groupby(_SWEEP_TEMPLATE.splitlines(), key=lambda line: line.find("@")):
-        if at < 0:
-            lines += [line.format(**fields) for line in group]
-        else:
-            group = [line.replace("@", "") for line in group]
-            lines += [line.format(d=d) for d in dims for line in group]
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<sweep kernel, dim {dim}>", "exec"), namespace)
-    return namespace["sweep"]
-
-
 def _sweep_python(pos, counts, eps, bounds, beta0, ng, elitism, synchronous) -> np.ndarray:
-    """The sweep on plain Python floats, in the kernel for pos's dim: the fallback to the C loop."""
+    """The sweep on plain Python floats, one firefly and one d at a time: the fallback to the C loop.
+
+    Each element sees _SWEEP_C's operations in its order.  Rows are moved
+    in place in out; an asynchronous move reads its peers' moved rows
+    there, a synchronous one the snapshot in peers.
+    """
     dim = pos.shape[1]
-    # steps: eps * (alpha_t * width), one rounding per element, as dim-tuples cut from one flat list
-    next_step = zip(*[iter((eps * bounds[3 * dim:]).ravel().tolist())] * dim).__next__
-    rows = _sweep_kernel(dim)(pos.tolist(), counts.tolist(), next_step, bounds[:3 * dim].tolist(),
-                              beta0, ng, elitism, synchronous, math.exp)
-    return np.array(rows, dtype=float)
+    dims = range(dim)
+    lo, hi, w = bounds[:dim].tolist(), bounds[dim:2 * dim].tolist(), bounds[2 * dim:3 * dim].tolist()
+    # steps: eps * (alpha_t * width), one rounding per element, taken row by row in draw order
+    steps = iter((eps * bounds[3 * dim:]).tolist())
+    exp = math.exp
+    out = pos.tolist()
+    peers = pos.tolist() if synchronous else out
+    for p, ci in zip(out, counts.tolist()):
+        if ci == 0:
+            if not elitism:
+                e = next(steps)
+                for d in dims:
+                    v = p[d] + e[d]
+                    p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
+            continue
+        c = [0.0] * dim
+        for a in peers[:ci]:
+            r2 = 0.0
+            for d in dims:
+                n = (a[d] - p[d]) * w[d]
+                r2 += n * n
+            beta = beta0 * exp(ng * r2)
+            e = next(steps)
+            if synchronous:
+                for d in dims:
+                    c[d] += beta * (a[d] - p[d]) + e[d]
+            else:
+                for d in dims:
+                    v = p[d] + beta * (a[d] - p[d]) + e[d]
+                    p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
+        if synchronous:
+            for d in dims:
+                v = p[d] + c[d]
+                p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
+    return np.array(out, dtype=float)
 
 
 def _sweep_c(fa_sweep, pos, counts, eps, bounds, beta0, ng, elitism, synchronous) -> np.ndarray:

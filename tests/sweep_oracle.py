@@ -1,11 +1,9 @@
 """The scalar attraction sweep as a plain loop over d, kept as a test oracle.
 
-This is the loop that the Python sweep ran before it became a kernel
-generated per dimension (core._sweep_kernel, run by core._sweep_python).
-It is written out by hand, not generated, so the tests can byte-compare
-core.pairwise_sweep on both of its kernels (the generated Python kernel and
-the C loop) against it: same positions, same random stream state
-afterwards.  It shares only the random-step draw with the package.
+It is written apart from the package, so the tests can byte-compare
+core.pairwise_sweep on both of its kernels (core._sweep_python, the plain
+Python loop, and the C loop) against it: same positions, same random stream
+state afterwards.  It shares only the random-step draw with the package.
 """
 
 import math

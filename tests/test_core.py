@@ -3,15 +3,12 @@
 import contextlib
 import copy
 import functools
-import io
 import math
 import os
 import re
 import shutil
 import sysconfig
 import threading
-import time
-import tokenize
 from unittest import mock
 
 import numpy as np
@@ -805,6 +802,9 @@ def _assert_paths_agree(state, obj, params, alpha_t=0.3, eps_fn=None, generation
 SCHEMES = ("asynchronous", "synchronous")
 
 
+# The test_row_sweep_* names are kept from the numpy row path that these
+# cases first pinned; like test_sweep_kernel_*, they compare both kernels of
+# pairwise_sweep with the oracle.
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("elitism", [False, True])
 @pytest.mark.parametrize("pop, dim", [(1, 5), (1, 300), (7, 3), (25, 5), (40, 5), (50, 10), (200, 50)])
@@ -916,91 +916,22 @@ def test_sweep_kernel_matches_scalar_oracle(
 
 
 def test_sweep_kernel_matches_scalar_oracle_at_dim_4000():
-    # r^2 as one expression nested a level per d did not compile here
-    # (RecursionError).  One compile serves both schemes; the kernel's
-    # memory is handed back afterwards.
     paths = _sweep_paths()
-    try:
-        for scheme in SCHEMES:
-            obj, state = _sweep_state(2, 4000, seed=4)
-            params = FaParams(gamma=2.0, pop_size=2, max_fes=20, update_scheme=scheme)
-            expected = copy.deepcopy(state)
-            sweep_scalar(expected, obj, params, 0.3, None)
-            for path in paths:
-                swept = copy.deepcopy(state)
-                path(swept, obj, params, 0.3, None)
-                assert _sweep_bytes(swept) == _sweep_bytes(expected), (scheme, path.__name__)
-    finally:
-        core._sweep_kernel.cache_clear()
-
-
-def _spy_compile(monkeypatch, delay=0.0):
-    """Record each source that core compiles; compile it after delay seconds."""
-    sources = []
-
-    def spy(source, *args):
-        sources.append(source)
-        time.sleep(delay)
-        return compile(source, *args)
-
-    core._sweep_kernel.cache_clear()
-    monkeypatch.setattr(core, "compile", spy, raising=False)
-    return sources
-
-
-def test_sweep_kernel_compiles_once_per_dim(monkeypatch):
-    _without_native(monkeypatch)
-    sources = _spy_compile(monkeypatch)
-    for dim in (3, 4):
-        for scheme in SCHEMES:
-            for elitism in (False, True):
-                obj, state = _sweep_state(6, dim, seed=dim)
-                params = FaParams(gamma=2.0, pop_size=6, max_fes=60, update_scheme=scheme, elitism=elitism)
-                for _ in range(3):
-                    pairwise_sweep(state, obj, params, 0.2)
-    assert len(sources) == 2
-    assert core._sweep_kernel(3) is core._sweep_kernel(3)
-    assert len(sources) == 2
-    # a numpy integer dim is accepted; lru_cache keys it apart from the int
-    core._sweep_kernel(np.int64(5))
-    assert len(sources) == 3
-
-
-def _source_tokens(source):
-    return [(tok.type, tok.string) for tok in tokenize.generate_tokens(io.StringIO(source).readline)]
-
-
-@pytest.mark.parametrize("dim", [2, 5, 17, 299])
-def test_sweep_kernel_interpolates_only_indices_from_range_dim(dim, monkeypatch):
-    # The kernel's source is a function of dim alone (no parameter, bound or
-    # other config value reaches it): next to dim 1's source it differs only
-    # in the integer suffixes of names, and every suffix lies in range(dim).
-    sources = _spy_compile(monkeypatch)
-    core._sweep_kernel(1)
-    core._sweep_kernel(dim)
-    one, many = (_source_tokens(source) for source in sources)
-    assert not [tok for tok in one + many if tok[0] == tokenize.STRING]
-    indexed = [re.fullmatch(r"([a-z]+)(\d+)", string) for kind, string in many if kind == tokenize.NAME]
-    assert {int(m[2]) for m in indexed if m} == set(range(dim))
-
-    def stems(tokens):
-        return {(kind, re.sub(r"(?<=[a-z])\d+$", "", string) if kind == tokenize.NAME else string)
-                for kind, string in tokens}
-
-    assert stems(one) == stems(many)
-
-
-@pytest.mark.parametrize("dim", [0, -1, 2.0, "3", True, None])
-def test_sweep_kernel_rejects_a_dim_that_is_not_a_positive_int(dim):
-    with pytest.raises(ValueError, match="dim must be an int >= 1"):
-        core._sweep_kernel(dim)
+    for scheme in SCHEMES:
+        obj, state = _sweep_state(2, 4000, seed=4)
+        params = FaParams(gamma=2.0, pop_size=2, max_fes=20, update_scheme=scheme)
+        expected = copy.deepcopy(state)
+        sweep_scalar(expected, obj, params, 0.3, None)
+        for path in paths:
+            swept = copy.deepcopy(state)
+            path(swept, obj, params, 0.3, None)
+            assert _sweep_bytes(swept) == _sweep_bytes(expected), (scheme, path.__name__)
 
 
 def test_sweep_kernel_first_call_from_two_threads(monkeypatch):
-    # both threads reach the compile for a new dim together (the compile
-    # waits), and both get the oracle's positions
+    # the Python kernel keeps no state between calls: two threads that sweep
+    # at once both get the oracle's positions
     _without_native(monkeypatch)
-    _spy_compile(monkeypatch, delay=0.05)
     obj, state = _sweep_state(12, 7, seed=4)
     params = FaParams(pop_size=12, max_fes=120)
     expected = copy.deepcopy(state)

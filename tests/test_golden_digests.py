@@ -66,8 +66,8 @@ CONFIGS = {
     + "update_scheme: synchronous\n",
     "four_peaks_base": SMALL.format(benchmark="four_peaks", variant="base"),
     "rastrigin_base_d3": SMALL.format(benchmark="rastrigin", variant="base").replace("dim: 2", "dim: 3"),
-    # 400 cells: these pin the C loop, and the scalar kernel at that size when
-    # the loader is disabled
+    # 400 cells: these pin the C loop, and the plain Python loop at that size
+    # when the loader is disabled
     **{
         f"rastrigin_{name}_d10_pop40": D10_POP40.format(variant=variant) + extra
         for name, variant, extra in (
@@ -135,7 +135,7 @@ def test_artifacts_match_golden_digests(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_artifacts_match_golden_digests_on_the_python_sweeps(name, tmp_path, monkeypatch):
-    # the same digests from the sweeps that run where the C sweep cannot
+    # the same digests from the Python sweep, which runs where the C sweep cannot
     monkeypatch.setattr(core, "_load_native_sweep", lambda: (None, "Python sweeps pinned"))
     golden = json.loads(GOLDEN.read_text())
     assert artifact_digests(CONFIGS[name], tmp_path) == golden[name]
