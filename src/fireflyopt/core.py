@@ -20,6 +20,7 @@ import ctypes
 import importlib.machinery
 import math
 import os
+import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -259,14 +260,16 @@ def pull_rows(
     """Every row of positions pulled toward target, with a random step.
 
     Row i becomes s_i + beta0 * exp(-gamma * r_i^2) * (target - s_i) +
-    (alpha * eps_i) * width, with r_i the normalized distance.  r^2 stays
-    one dot product per row and beta one math.exp per row, which keeps
+    (alpha * eps_i) * width, with r_i the normalized distance.  r^2 is one
+    stacked matmul, (1, d) @ (d, 1) per row, which reduces each row with
+    the dot product r @ r uses, and beta is one math.exp per row; both keep
     every bit of the one-pair formula (einsum, sum(axis=1) and np.exp do
     not).  The caller clamps to bounds.
     """
     diff = target - positions
     nd = diff / width
-    beta = params.beta0 * np.array([math.exp(-params.gamma * float(r @ r)) for r in nd])
+    r2 = (nd[:, None, :] @ nd[:, :, None])[:, 0, 0]
+    beta = params.beta0 * np.array([math.exp(-params.gamma * r) for r in r2.tolist()])
     return positions + beta[:, None] * diff + alpha * eps * width
 
 
@@ -314,9 +317,17 @@ def evaluate(state: SwarmState, objective: Objective, params: FaParams) -> Swarm
     refreshed and the budget is exhausted, which ends the run.  The best-so-far
     becomes the first minimum of the fresh values if that is strictly lower.
     """
-    remaining = params.max_fes - state.fes_used
-    n = max(0, min(len(state.fitness), remaining))
-    values = checked_rows(objective, state.positions[:n])
+    n = max(0, min(len(state.fitness), params.max_fes - state.fes_used))
+    return record_values(state, checked_rows(objective, state.positions[:n]))
+
+
+def record_values(state: SwarmState, values: list[float]) -> SwarmState:
+    """Store fresh values as the fitness of the leading rows and charge them to the budget.
+
+    The best-so-far becomes the first minimum of the values if that is
+    strictly lower (or if there is none yet).
+    """
+    n = len(values)
     state.fitness[:n] = values
     if values:
         i = values.index(min(values))
@@ -372,40 +383,71 @@ def pairwise_sweep(
     positions must have shape (len(fitness), objective.dim); otherwise a
     ValueError is raised before any random draw.
 
-    The checks, counts, draw and bounds are made here, once, and handed to
-    one of two kernels that return the same positions bit for bit: the C
-    loop _SWEEP_C whenever its library builds, loads and passes its
-    self-check (_load_native_sweep, once per process), else _sweep_python,
-    the same loop on plain Python floats.
+    This is sweep_blocks on one block: one swarm, one stream, one alpha_t.
     """
-    fit = state.fitness
-    if np.isnan(fit).any() or (fit[1:] < fit[:-1]).any():
+    moved = sweep_blocks(state.positions[None], state.fitness[None], [state.rng], objective, params, (alpha_t,), eps_fn)
+    state.positions = moved[0]
+
+
+def sweep_blocks(
+    positions: np.ndarray,
+    fitness: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    objective: Objective,
+    params: FaParams,
+    alphas: Sequence[float],
+    eps_fn: Optional[Callable] = None,
+) -> np.ndarray:
+    """pairwise_sweep on S independent blocks at once; returns the (S, n, d) moved positions.
+
+    Block b is one sorted swarm: positions[b] (n, d), fitness[b] (n,), its
+    random stream rngs[b] and its step scale alphas[b].  Each block draws
+    from its own stream, in block order, exactly the rows its own
+    pairwise_sweep would draw, and no block sees another, so the result is
+    the S single-block sweeps bit for bit.
+
+    The checks, counts and draws are made here, once, and handed to one of
+    two kernels that return the same positions bit for bit: the C loop
+    _SWEEP_C whenever its library builds, loads and passes its self-check
+    (_load_native_sweep, once per process), else _sweep_python, the same
+    loop on plain Python floats.
+    """
+    if np.isnan(fitness).any() or (fitness[:, 1:] < fitness[:, :-1]).any():
         raise ValueError("pairwise_sweep needs fitness sorted ascending with no NaN (call order first)")
+    blocks, pop = fitness.shape
     dim = objective.dim
-    pos = np.ascontiguousarray(state.positions, dtype=float)
-    if pos.shape != (len(fit), dim):
-        raise ValueError(f"positions must have shape ({len(fit)}, {dim}), got {pos.shape}")
+    pos = np.ascontiguousarray(positions, dtype=float)
+    if pos.shape != (blocks, pop, dim):
+        raise ValueError(f"positions must have shape ({pop}, {dim}), got {pos.shape[1:]}")
     # once sorted, a firefly's strictly brighter peers are the prefix before its tie group
-    counts = np.searchsorted(fit, fit, side="left")
-    walkers = 0 if params.elitism else int(np.count_nonzero(counts == 0))
-    eps = _draw_eps_rows(state.rng, int(counts.sum()) + walkers, dim, params.epsilon_kind, eps_fn)
-    width = objective.width
-    bounds = np.concatenate([objective.lower, objective.upper, 1.0 / width, alpha_t * width])
+    counts = [f.searchsorted(f, side="left") for f in fitness]
+    counts = counts[0][None] if blocks == 1 else np.concatenate(counts).reshape(blocks, pop)
+    # a block's draw: one row per move, plus one per walker (a firefly with no brighter peer)
+    rows = [sum(c) + (0 if params.elitism else c.count(0)) for c in counts.tolist()]
+    draws = [_draw_eps_rows(rng, r, dim, params.epsilon_kind, eps_fn) for rng, r in zip(rngs, rows)]
+    eps = draws[0] if blocks == 1 else np.concatenate(draws)
     kernel = _load_native_sweep()[0] or _sweep_python
     synchronous = params.update_scheme == "synchronous"
-    state.positions = kernel(pos, counts, eps, bounds, params.beta0, -params.gamma, params.elitism, synchronous)
+    return kernel(pos, counts, eps, objective.lower, objective.upper, alphas, params.beta0, -params.gamma,
+                  params.elitism, synchronous)
 
 
-# The sweep as one C function for any (pop, dim), built and loaded by
+# The sweep as one C function for any (blocks, pop, dim), built and loaded by
 # _load_native_sweep; _sweep_python is the same loop on Python floats.  Each
-# element sees the same operations in the same order in both: r2 summed left
-# to right from (a - p) * (1/width), beta0 * exp(ng * r2) through libm's exp
-# (the function math.exp calls), (p + beta*d) + e, the synchronous
-# c += beta*d + e then p + c, and the same clamp.  e = eps * aw is the one
-# rounding of _sweep_python's eps * (alpha_t * width).  Rows are read from
-# pos and written to out: an asynchronous move reads its peers' moved rows in
-# out, a synchronous one the snapshot in pos.  pairwise_sweep's order check
-# makes counts[i] <= i, so every peer row has been written already.
+# element sees the same operations in the same order in both: 1/width and
+# alpha_t * width formed once per call and per block from width = hi - lo
+# (the single roundings numpy makes), r2 summed left to right from
+# (a - p) * (1/width), beta0 * exp(ng * r2) through libm's exp (the function
+# math.exp calls), (p + beta*d) + e, the synchronous c += beta*d + e then
+# p + c, and the same clamp.  e = eps * aw is the one rounding of
+# _sweep_python's eps * (alpha_t * width).  Block b is rows b*pop to
+# (b+1)*pop, its peers are rows of the same block, and eps carries on from
+# block to block in draw order.  Rows are read from pos and written to out:
+# an asynchronous move reads its peers' moved rows in out, a synchronous one
+# the snapshot in pos.  The front end's order check makes counts[i] <= i
+# within a block, so every peer row has been written already.  scale is
+# room for the two rows 1/width and alpha_t * width, allocated by the
+# caller, so the loop allocates nothing and has no failure to report.
 _SWEEP_C = r"""
 #include <math.h>
 #include <stdint.h>
@@ -426,40 +468,46 @@ static double attraction(const double *a, const double *p, const double *w, int6
     return beta0 * exp(ng * r2);
 }
 
-void fa_sweep(int64_t pop, int64_t dim, const double *pos, double *out, const int64_t *counts,
-              const double *eps, const double *bounds, double beta0, double ng,
-              int elitism, int synchronous)
+void fa_sweep(int64_t blocks, int64_t pop, int64_t dim, const double *pos, double *out,
+              const int64_t *counts, const double *eps, const double *lo, const double *hi,
+              const double *alpha, double beta0, double ng, int elitism, int synchronous, double *scale)
 {
-    const double *lo = bounds, *hi = bounds + dim, *w = bounds + 2 * dim, *aw = bounds + 3 * dim;
-    for (int64_t i = 0; i < pop; i++) {
-        const double *p = pos + i * dim;
-        double *o = out + i * dim;
-        if (counts[i] == 0 && elitism) {
-            for (int64_t k = 0; k < dim; k++)
-                o[k] = p[k];
-        } else if (counts[i] == 0) {
-            for (int64_t k = 0; k < dim; k++)
-                o[k] = clamp(p[k] + eps[k] * aw[k], lo[k], hi[k]);
-            eps += dim;
-        } else if (synchronous) {
-            for (int64_t k = 0; k < dim; k++)
-                o[k] = 0.0;
-            for (int64_t j = 0; j < counts[i]; j++, eps += dim) {
-                const double *a = pos + j * dim;
-                double beta = attraction(a, p, w, dim, beta0, ng);
+    double *w = scale, *aw = scale + dim;
+    for (int64_t k = 0; k < dim; k++)
+        w[k] = 1.0 / (hi[k] - lo[k]);
+    for (int64_t b = 0; b < blocks; b++, pos += pop * dim, out += pop * dim, counts += pop) {
+        for (int64_t k = 0; k < dim; k++)
+            aw[k] = alpha[b] * (hi[k] - lo[k]);
+        for (int64_t i = 0; i < pop; i++) {
+            const double *p = pos + i * dim;
+            double *o = out + i * dim;
+            if (counts[i] == 0 && elitism) {
                 for (int64_t k = 0; k < dim; k++)
-                    o[k] += beta * (a[k] - p[k]) + eps[k] * aw[k];
-            }
-            for (int64_t k = 0; k < dim; k++)
-                o[k] = clamp(p[k] + o[k], lo[k], hi[k]);
-        } else {
-            for (int64_t k = 0; k < dim; k++)
-                o[k] = p[k];
-            for (int64_t j = 0; j < counts[i]; j++, eps += dim) {
-                const double *a = out + j * dim;
-                double beta = attraction(a, o, w, dim, beta0, ng);
+                    o[k] = p[k];
+            } else if (counts[i] == 0) {
                 for (int64_t k = 0; k < dim; k++)
-                    o[k] = clamp(o[k] + beta * (a[k] - o[k]) + eps[k] * aw[k], lo[k], hi[k]);
+                    o[k] = clamp(p[k] + eps[k] * aw[k], lo[k], hi[k]);
+                eps += dim;
+            } else if (synchronous) {
+                for (int64_t k = 0; k < dim; k++)
+                    o[k] = 0.0;
+                for (int64_t j = 0; j < counts[i]; j++, eps += dim) {
+                    const double *a = pos + j * dim;
+                    double beta = attraction(a, p, w, dim, beta0, ng);
+                    for (int64_t k = 0; k < dim; k++)
+                        o[k] += beta * (a[k] - p[k]) + eps[k] * aw[k];
+                }
+                for (int64_t k = 0; k < dim; k++)
+                    o[k] = clamp(p[k] + o[k], lo[k], hi[k]);
+            } else {
+                for (int64_t k = 0; k < dim; k++)
+                    o[k] = p[k];
+                for (int64_t j = 0; j < counts[i]; j++, eps += dim) {
+                    const double *a = out + j * dim;
+                    double beta = attraction(a, o, w, dim, beta0, ng);
+                    for (int64_t k = 0; k < dim; k++)
+                        o[k] = clamp(o[k] + beta * (a[k] - o[k]) + eps[k] * aw[k], lo[k], hi[k]);
+                }
             }
         }
     }
@@ -472,62 +520,87 @@ _SWEEP_C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _NATIVE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 
 
-def _sweep_python(pos, counts, eps, bounds, beta0, ng, elitism, synchronous) -> np.ndarray:
-    """The sweep on plain Python floats, one firefly and one d at a time: the fallback to the C loop.
+def _sweep_python(pos, counts, eps, lower, upper, alphas, beta0, ng, elitism, synchronous) -> np.ndarray:
+    """The sweep on plain Python floats: the fallback to the C loop.
 
-    Each element sees _SWEEP_C's operations in its order.  Rows are moved
+    Block by block, one firefly and one d at a time, each element sees
+    _SWEEP_C's operations in its order.  Rows are moved
     in place in out; an asynchronous move reads its peers' moved rows
     there, a synchronous one the snapshot in peers.
     """
-    dim = pos.shape[1]
-    dims = range(dim)
-    lo, hi, w = bounds[:dim].tolist(), bounds[dim:2 * dim].tolist(), bounds[2 * dim:3 * dim].tolist()
-    # steps: eps * (alpha_t * width), one rounding per element, taken row by row in draw order
-    steps = iter((eps * bounds[3 * dim:]).tolist())
+    width = upper - lower
+    lo, hi, w = lower.tolist(), upper.tolist(), (1.0 / width).tolist()
+    dims = range(len(lo))
     exp = math.exp
     out = pos.tolist()
-    peers = pos.tolist() if synchronous else out
-    for p, ci in zip(out, counts.tolist()):
-        if ci == 0:
-            if not elitism:
-                e = next(steps)
+    snapshot = pos.tolist() if synchronous else out
+    start = 0
+    for block, peers, block_counts, alpha_t in zip(out, snapshot, counts.tolist(), alphas):
+        # the block's rows of the draw, in draw order, as steps eps * (alpha_t * width):
+        # one rounding per element
+        stop = start + sum(block_counts) + (0 if elitism else block_counts.count(0))
+        steps = iter((eps[start:stop] * (alpha_t * width)).tolist())
+        start = stop
+        for p, ci in zip(block, block_counts):
+            if ci == 0:
+                if not elitism:
+                    e = next(steps)
+                    for d in dims:
+                        v = p[d] + e[d]
+                        p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
+                continue
+            c = [0.0] * len(lo)
+            for a in peers[:ci]:
+                r2 = 0.0
                 for d in dims:
-                    v = p[d] + e[d]
-                    p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
-            continue
-        c = [0.0] * dim
-        for a in peers[:ci]:
-            r2 = 0.0
-            for d in dims:
-                n = (a[d] - p[d]) * w[d]
-                r2 += n * n
-            beta = beta0 * exp(ng * r2)
-            e = next(steps)
+                    n = (a[d] - p[d]) * w[d]
+                    r2 += n * n
+                beta = beta0 * exp(ng * r2)
+                e = next(steps)
+                if synchronous:
+                    for d in dims:
+                        c[d] += beta * (a[d] - p[d]) + e[d]
+                else:
+                    for d in dims:
+                        v = p[d] + beta * (a[d] - p[d]) + e[d]
+                        p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
             if synchronous:
                 for d in dims:
-                    c[d] += beta * (a[d] - p[d]) + e[d]
-            else:
-                for d in dims:
-                    v = p[d] + beta * (a[d] - p[d]) + e[d]
+                    v = p[d] + c[d]
                     p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
-        if synchronous:
-            for d in dims:
-                v = p[d] + c[d]
-                p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
     return np.array(out, dtype=float)
 
 
-def _sweep_c(fa_sweep, pos, counts, eps, bounds, beta0, ng, elitism, synchronous) -> np.ndarray:
+def _address(a: np.ndarray) -> int:
+    """Where the C-contiguous array a starts in memory.
+
+    ctypes.c_char.from_buffer takes a third of the time of a.ctypes.data,
+    but only for a writable array of at least one byte.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
+
+
+def _sweep_c(fa_sweep, pos, counts, eps, lower, upper, alphas, beta0, ng, elitism, synchronous) -> np.ndarray:
     """The sweep in fa_sweep, the loaded _SWEEP_C.
 
-    pos and bounds are C-contiguous float64, as pairwise_sweep makes them.
-    The C loop scales the steps, so the draw is neither copied nor written to.
+    pos is C-contiguous float64 (S, n, d), as sweep_blocks makes it.  The C
+    loop scales the steps, so the draw is neither copied nor written to.
     """
-    counts = counts.astype(np.int64, copy=False)
+    blocks, pop, dim = pos.shape
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
     eps = np.ascontiguousarray(eps)
+    lower = np.ascontiguousarray(lower)
+    upper = np.ascontiguousarray(upper)
     out = np.empty_like(pos)
-    fa_sweep(len(pos), pos.shape[1], pos.ctypes.data, out.ctypes.data, counts.ctypes.data, eps.ctypes.data,
-             bounds.ctypes.data, beta0, ng, elitism, synchronous)
+    # bytes, whose buffer ctypes passes as the pointer: a ctypes array type
+    # per block count faulted in about 25 more pages (100 KiB) in a process
+    alpha = struct.pack(f"{blocks}d", *alphas)
+    scale = np.empty(2 * dim)
+    fa_sweep(blocks, pop, dim, _address(pos), _address(out), _address(counts), _address(eps), _address(lower),
+             _address(upper), alpha, beta0, ng, elitism, synchronous, _address(scale))
     return out
 
 
@@ -568,23 +641,28 @@ def _build_native(source: str, path: str) -> None:
 
 
 def _native_agrees(kernel) -> bool:
-    """Whether kernel gives _sweep_python's bytes on a fixed case.
+    """Whether kernel gives _sweep_python's bytes on two fixed cases.
 
-    Six fireflies in a box of width 2 in three dims, with steps of scale 1,
-    so moves pass both bounds; fitness [0, 1, 1, 2, 3, 4] gives one walker
-    and one tie group.  Both schemes, with and without elitism.
+    Six fireflies in a box of width 2 in three dims, with alpha_t 0.5, so
+    steps of scale 1 move them past both bounds; the counts of fitness
+    [0, 1, 1, 2, 3, 4] give one walker and one tie group.  Then two such
+    blocks in one call, each with its own alpha_t and its own walkers (the
+    counts of [0, 0, 1, 2, 2, 3] in the second), so a block that starts at
+    the wrong row, reads another block's alpha_t or restarts the steps
+    cannot pass.  Both schemes, with and without elitism.
     """
-    fitness = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0])
-    counts = np.searchsorted(fitness, fitness, side="left")
-    bounds = np.repeat([-1.0, 1.0, 0.5, 1.0], 3)  # lower, upper, 1/width, alpha_t * width
-    for synchronous in (False, True):
-        for elitism in (False, True):
-            rng = np.random.default_rng(2)
-            pos = rng.uniform(-1.0, 1.0, (6, 3))
-            eps = rng.standard_normal((int(counts.sum()) + (not elitism), 3))
-            args = (pos, counts, eps, bounds, 0.9, -2.0, elitism, synchronous)
-            if kernel(*args).tobytes() != _sweep_python(*args).tobytes():
-                return False
+    first, second = [0, 1, 1, 3, 4, 5], [0, 0, 2, 3, 3, 5]
+    lower, upper = np.full(3, -1.0), np.full(3, 1.0)
+    for counts, alphas in [(np.array([first]), (0.5,)), (np.array([first, second]), (0.5, 0.3))]:
+        for synchronous in (False, True):
+            for elitism in (False, True):
+                rng = np.random.default_rng(2)
+                pos = rng.uniform(-1.0, 1.0, (len(counts), 6, 3))
+                walkers = 0 if elitism else int(np.count_nonzero(counts == 0))
+                eps = rng.standard_normal((int(counts.sum()) + walkers, 3))
+                args = (pos, counts, eps, lower, upper, alphas, 0.9, -2.0, elitism, synchronous)
+                if kernel(*args).tobytes() != _sweep_python(*args).tobytes():
+                    return False
     return True
 
 
@@ -592,7 +670,7 @@ def _native_agrees(kernel) -> bool:
 def _load_native_sweep() -> tuple[Optional[Callable], str]:
     """(the C kernel, "") if _SWEEP_C builds, loads and passes _native_agrees; else (None, why not).
 
-    pairwise_sweep calls it at its first sweep in a process, never at
+    sweep_blocks calls it at its first sweep in a process, never at
     import.  The library is built once per machine and interpreter into
     _NATIVE_DIR and loaded from there afterwards.
     """
@@ -603,7 +681,8 @@ def _load_native_sweep() -> tuple[Optional[Callable], str]:
         fa_sweep = ctypes.CDLL(path).fa_sweep
     except (OSError, AttributeError) as exc:
         return None, f"the C sweep did not build or load: {exc}"
-    fa_sweep.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5 + [ctypes.c_double] * 2 + [ctypes.c_int] * 2
+    fa_sweep.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_double] * 2 + [ctypes.c_int] * 2 + [
+        ctypes.c_void_p]
     fa_sweep.restype = None
     kernel = partial(_sweep_c, fa_sweep)
     if not _native_agrees(kernel):
@@ -636,6 +715,50 @@ def step(
             sweep(state, objective, params, alpha_t)
     state.t += 1
     return state
+
+
+def step_swarms(states: Sequence[SwarmState], objective: Objective, params: FaParams) -> None:
+    """One generation of every swarm with budget left, all at once: step on each in turn, bit for bit.
+
+    The swarms must be of one size.  Their rows go to one checked_rows
+    call, each swarm's rows cut to its own remaining budget, in swarm
+    order, which is the order step would evaluate them in (a sweep never
+    evaluates).  record_values writes each swarm's values back, one stable
+    argsort orders the (S, n) fitness, and the swarms still within budget
+    move in one sweep_blocks call.  If the objective raises, no swarm has
+    been written back.
+    """
+    active = [s for s in states if s.fes_used < params.max_fes]
+    if not active:
+        return
+    pop, dim = len(active[0].fitness), objective.dim
+    alphas = [alpha_at(params.alpha_schedule, s.t) for s in active]
+    takes = [min(pop, params.max_fes - s.fes_used) for s in active]
+    pos = np.concatenate([s.positions for s in active])
+    rows = pos if sum(takes) == len(pos) else np.concatenate([s.positions[:n] for s, n in zip(active, takes)])
+    values = checked_rows(objective, rows)
+    start = 0
+    for s, n in zip(active, takes):
+        record_values(s, values[start:start + n])
+        start += n
+    fit = np.concatenate([s.fitness for s in active]).reshape(-1, pop)
+    if np.isnan(fit).any():
+        raise ValueError("cannot order an unevaluated population")
+    # each swarm's ranks, offset to its rows of the stacked (S * n) arrays
+    rank = np.argsort(fit, axis=1, kind="stable")
+    rank += np.arange(0, rank.size, pop)[:, None]
+    rank = rank.ravel()
+    fit = fit.ravel()[rank].reshape(-1, pop)
+    pos = pos.reshape(-1, dim)[rank].reshape(-1, pop, dim)
+    moving = [k for k, s in enumerate(active) if s.fes_used < params.max_fes]
+    rngs = [active[k].rng for k in moving]
+    if len(moving) == len(active):
+        pos = sweep_blocks(pos, fit, rngs, objective, params, alphas)
+    elif moving:
+        pos[moving] = sweep_blocks(pos[moving], fit[moving], rngs, objective, params, [alphas[k] for k in moving])
+    for s, p, f in zip(active, pos, fit):
+        s.positions, s.fitness = p, f
+        s.t += 1
 
 
 def run(

@@ -24,7 +24,9 @@ from .core import (
     initialize,
     pull_rows,
     random_positions,
-    step,
+    record_values,
+    step,  # not called here, but perfbench/probe.py patches variants.step
+    step_swarms,
 )
 from .randomization import alpha_at
 
@@ -268,13 +270,16 @@ def multiswarm_step(
     the change, so an improving shift is caught too).  On detection every
     cached fitness is invalidated, the whole population re-evaluated, each
     swarm's best rebuilt from the fresh values, and the sentinel references
-    re-baselined, so the rest of the generation works on valid data.  Each
-    swarm then performs one base-algorithm step.  Exclusion re-randomizes
-    the worse of two swarms whose bests fall within exclusion_radius of
-    each other; anti-convergence re-randomizes the globally worst swarm
-    once every swarm has collapsed below the anticonvergence_radius
-    diameter.  Swarms must be of equal size, as initialize_multiswarm makes
-    them: all diameters come from one distance call on the stacked positions.
+    re-baselined, so the rest of the generation works on valid data.  Every
+    swarm with budget left then performs one base-algorithm step, all of
+    them together in core.step_swarms: one evaluation call, one argsort and
+    one sweep for every swarm, bit for bit what core.step on each swarm in
+    turn gives.  Exclusion re-randomizes the worse of two swarms whose
+    bests fall within exclusion_radius of each other; anti-convergence
+    re-randomizes the globally worst swarm once every swarm has collapsed
+    below the anticonvergence_radius diameter.  Swarms must be of equal
+    size, as initialize_multiswarm makes them: the step and all diameters
+    work on the swarms' stacked positions.
     """
     streams = [swarm.rng.bit_generator.state for swarm in swarms]
     for i in range(len(swarms)):
@@ -286,12 +291,12 @@ def multiswarm_step(
     if sentinels.values is None:
         sentinels.values = fresh
     elif np.any(np.abs(fresh - sentinels.values) > CHANGE_TOLERANCE):
-        values = iter(checked_rows(objective, np.concatenate([swarm.positions for swarm in swarms])))
+        values = checked_rows(objective, np.concatenate([swarm.positions for swarm in swarms]))
+        start = 0
         for swarm in swarms:
-            swarm.fitness = np.fromiter(values, float, len(swarm.fitness))
-            swarm.fes_used += len(swarm.fitness)
-            i = int(np.argmin(swarm.fitness))
-            swarm.best = Firefly(swarm.positions[i].copy(), float(swarm.fitness[i]))
+            swarm.best = None
+            record_values(swarm, values[start:start + len(swarm.fitness)])
+            start += len(swarm.fitness)
         # re-baseline the probes after the invalidation pass, so the
         # references are wholly post-change even when the shift landed
         # mid-way through the probe loop above
@@ -299,9 +304,7 @@ def multiswarm_step(
         if log is not None:
             log.append({"event": "change"})
 
-    for swarm in swarms:
-        if swarm.fes_used < params.max_fes:
-            step(swarm, objective, params)
+    step_swarms(swarms, objective, params)
 
     # Exclusion: the better of an overlapping pair keeps its ground.
     bests = [s.best for s in swarms]

@@ -190,6 +190,28 @@ def test_pull_rows_matches_one_pair_formula(dim, rows, gamma, beta0, alpha, kind
         assert out.tobytes() == _one_pair_formula(row, sj, params, 0.5 * alpha, e, w).tobytes()
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 60),
+    dim=st.integers(1, 60),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    gamma=st.sampled_from([0.1, 1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pull_rows_r2_matches_the_per_row_dot(rows, dim, scale, gamma, seed):
+    # pull_rows takes every row's r^2 from one stacked matmul; each beta, and
+    # so each moved row, must keep the bits of the per-row dot product r @ r
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 20.0, dim)
+    params = FaParams(beta0=0.7, gamma=gamma)
+    pos, target = rng.uniform(-scale, scale, (rows, dim)), rng.uniform(-scale, scale, dim)
+    eps = rng.standard_normal((rows, dim))
+    nd = (target - pos) / w
+    beta = params.beta0 * np.array([math.exp(-gamma * float(r @ r)) for r in nd])
+    expected = pos + beta[:, None] * (target - pos) + 0.2 * eps * w
+    assert core.pull_rows(pos, target, params, 0.2, eps, w).tobytes() == expected.tobytes()
+
+
 # ------------------------------------------------------------- validation
 
 
@@ -1118,16 +1140,18 @@ def test_c_sweep_self_check_case_has_a_walker_a_tie_and_moves_past_both_bounds(m
 
     monkeypatch.setattr(core, "_sweep_python", spy)
     assert core._native_agrees(kernel)
-    assert sorted((synchronous, elitism) for (*_, elitism, synchronous), _ in seen) == sorted(
-        (synchronous, elitism) for synchronous in (False, True) for elitism in (False, True)
+    # one block and two blocks, each under both schemes, with and without elitism
+    flags = [(synchronous, elitism) for synchronous in (False, True) for elitism in (False, True)]
+    assert sorted((len(pos), synchronous, elitism) for (pos, *_, elitism, synchronous), _ in seen) == sorted(
+        (blocks, *flag) for blocks in (1, 2) for flag in flags
     )
-    for (pos, counts, eps, bounds, *_), out in seen:
-        counts = counts.tolist()
-        assert pos.shape == out.shape == (6, 3)
-        # one walker (one firefly with no brighter peer) and one tie group of two
-        assert counts.count(0) == 1 and len(counts) - len(set(counts)) == 1
-        lower, upper = bounds[:3], bounds[3:6]
-        assert (out == lower).any() and (out == upper).any()
+    for (pos, counts, eps, lower, upper, alphas, *_), out in seen:
+        assert pos.shape == out.shape == (len(alphas), 6, 3)
+        assert len(set(alphas)) == len(alphas)  # every block has its own alpha_t
+        for block_counts, block_out in zip(counts.tolist(), out):
+            # a walker (a firefly with no brighter peer) and a tie group in every block
+            assert block_counts.count(0) >= 1 and len(block_counts) - len(set(block_counts)) >= 1
+            assert (block_out == lower).any() and (block_out == upper).any()
 
 
 # -------------------------------------------------------------------- run

@@ -1,13 +1,16 @@
 """Variant mechanisms: elitist move, global-best pull, reductions, multi-swarm, penalty."""
 
+import contextlib
 import copy
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from multiswarm_oracle import multiswarm_step_per_swarm
 from reduction_oracles import oracle_positions
 
 from fireflyopt import (
@@ -34,7 +37,7 @@ from fireflyopt import (
     reduction_mode,
     step,
 )
-from fireflyopt import variants
+from fireflyopt import core, variants
 from fireflyopt.core import _row_twin
 from fireflyopt.harness import run_multiswarm
 from fireflyopt.variants import _exclusion_victims, _pair_distances
@@ -538,6 +541,57 @@ def test_multiswarm_batch_path_matches_per_point_path(num_swarms, swarm_size, se
     assert first.evals == second.evals and first.shift_log == second.shift_log
     assert first.centers.tobytes() == second.centers.tobytes()
     assert first.rng.bit_generator.state == second.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("loader", ["enabled", "disabled"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    num_swarms=st.integers(1, 5),
+    swarm_size=st.integers(1, 8),
+    dim=st.sampled_from([1, 2, 5]),
+    scheme=st.sampled_from(["asynchronous", "synchronous"]),
+    elitism=st.booleans(),
+    sentinel_count=st.integers(0, 3),
+    shift_interval=st.one_of(st.none(), st.integers(1, 40)),
+    per_point=st.booleans(),
+    extra=st.integers(0, 100),
+    radii=st.sampled_from([(0.05, 0.05), (0.3, 0.5), (0.45, 0.02)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multiswarm_step_matches_one_step_per_swarm(loader, num_swarms, swarm_size, dim, scheme, elitism,
+                                                    sentinel_count, shift_interval, per_point, extra, radii, seed):
+    # max_fes is every swarm's own budget: from pop_size + extra, swarms run
+    # out within the 12 steps, some cut to a partial evaluation pass and
+    # some evaluating without a sweep after it
+    pop = num_swarms * swarm_size
+    params = FaParams(pop_size=pop, max_fes=pop + extra, update_scheme=scheme, elitism=elitism)
+    config = MultiSwarmConfig(num_swarms, swarm_size, *radii, sentinel_count=sentinel_count)
+    pinned = mock.patch.object(core, "_load_native_sweep", lambda: (None, "Python sweep pinned"))
+    runs = []
+    for multiswarm in (multiswarm_step_per_swarm, multiswarm_step):
+        landscape = make_moving_peaks(peak_count=3, dim=dim, shift_interval=shift_interval, seed=seed)
+        obj = landscape
+        if per_point:
+            fn = landscape.eval
+            obj = dataclasses.replace(landscape, eval=lambda x: fn(x), known_optimum=None)
+        swarms = initialize_multiswarm(obj, params, config, seed)
+        sentinels = make_sentinels(obj, sentinel_count, seed + 1)
+        log, raised = [], None
+        with pinned if loader == "disabled" else contextlib.nullcontext():
+            try:
+                for _ in range(12):
+                    multiswarm(swarms, config, obj, params, sentinels, log=log)
+            except ValueError as exc:  # an unevaluated swarm cut to a partial pass cannot be ordered
+                raised = str(exc)
+        hook = landscape.change_hook
+        state = [(s.positions.tobytes(), s.fitness.tobytes(), s.fes_used, s.t, s.rng.bit_generator.state,
+                  None if s.best is None else (s.best.position.tobytes(), s.best.fitness)) for s in swarms]
+        runs.append((raised, state, log, np.asarray(sentinels.values).tobytes(), hook.evals, hook.shift_log,
+                     hook.centers.tobytes()))
+    expected, got = runs
+    assert got[0] == expected[0]
+    if expected[0] is None:
+        assert got == expected
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
