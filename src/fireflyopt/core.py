@@ -22,8 +22,10 @@ import math
 import os
 import struct
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -200,11 +202,17 @@ def distance(si: Sequence[float], sj: Sequence[float]) -> float:
 
 
 def _draw_eps_rows(rng, rows, dim, kind, eps_fn) -> np.ndarray:
-    """(rows, dim) random steps from eps_fn or the epsilon_kind source, in one draw."""
+    """(rows, dim) random steps from eps_fn or the epsilon_kind source, in one draw.
+
+    A source that returns other than rows * dim values raises ValueError.
+    """
     if rows == 0:
         return np.empty((0, dim))
     draw = _EPSILON_STEPS[kind] if eps_fn is None else eps_fn
-    return np.asarray(draw(rng, rows * dim), dtype=float).reshape(rows, dim)
+    values = np.asarray(draw(rng, rows * dim), dtype=float)
+    if values.size != rows * dim:
+        raise ValueError(f"the random-step source returned {values.size} values, not the {rows * dim} asked for")
+    return values.reshape(rows, dim)
 
 
 # Row twins as (scalar function, twin) pairs, registered by benchmarks.py:
@@ -376,8 +384,12 @@ def pairwise_sweep(
     A firefly with no brighter peer takes a plain alpha-scaled random step,
     unless elitism is on, in which case it holds position.
 
-    eps_fn overrides the random-step source (signature: rng, n -> vector);
-    by default steps follow params.epsilon_kind.
+    eps_fn overrides the random-step source (signature: rng, n -> vector of
+    n values); by default steps follow params.epsilon_kind.  The default
+    sources are drawn in pieces of at most _PIECE_DOUBLES values (more only
+    for one firefly's rows), which gives one draw's values and stream state;
+    eps_fn is called once for the whole sweep, since a custom source need
+    not split that way.
 
     The fitness must be sorted ascending with no NaN (order does this) and
     positions must have shape (len(fitness), objective.dim); otherwise a
@@ -404,17 +416,26 @@ def sweep_blocks(
     random stream rngs[b] and its step scale alphas[b].  Each block draws
     from its own stream, in block order, exactly the rows its own
     pairwise_sweep would draw, and no block sees another, so the result is
-    the S single-block sweeps bit for bit.
+    the S single-block sweeps bit for bit.  One stream and one alpha per
+    block are required: other lengths raise ValueError before any draw.
 
-    The checks, counts and draws are made here, once, and handed to one of
-    two kernels that return the same positions bit for bit: the C loop
-    _SWEEP_C whenever its library builds, loads and passes its self-check
+    The checks and counts are made here, once, and handed to one of two
+    kernels that return the same positions bit for bit: the C loop _SWEEP_C
+    whenever its library builds, loads and passes its self-check
     (_load_native_sweep, once per process), else _sweep_python, the same
-    loop on plain Python floats.
+    loop on plain Python floats.  The steps go to the kernel as the pieces
+    of _step_pieces: one piece drawn up front when they fit in
+    _PIECE_DOUBLES, else pieces drawn as the kernel reaches them, so a
+    sweep holds one piece of steps at a time (eps_fn: one block's whole
+    draw).
     """
-    if np.isnan(fitness).any() or (fitness[:, 1:] < fitness[:, :-1]).any():
-        raise ValueError("pairwise_sweep needs fitness sorted ascending with no NaN (call order first)")
     blocks, pop = fitness.shape
+    # a NaN fails every comparison, so with two or more fireflies the order check finds it too
+    if not ((fitness[:, 1:] >= fitness[:, :-1]).all() and (pop > 1 or not np.isnan(fitness).any())):
+        raise ValueError("pairwise_sweep needs fitness sorted ascending with no NaN (call order first)")
+    if not len(rngs) == len(alphas) == blocks:
+        raise ValueError(f"sweep_blocks needs one rng and one alpha per block: {blocks} blocks, "
+                         f"{len(rngs)} rngs, {len(alphas)} alphas")
     dim = objective.dim
     pos = np.ascontiguousarray(positions, dtype=float)
     if pos.shape != (blocks, pop, dim):
@@ -422,32 +443,92 @@ def sweep_blocks(
     # once sorted, a firefly's strictly brighter peers are the prefix before its tie group
     counts = [f.searchsorted(f, side="left") for f in fitness]
     counts = counts[0][None] if blocks == 1 else np.concatenate(counts).reshape(blocks, pop)
-    # a block's draw: one row per move, plus one per walker (a firefly with no brighter peer)
-    rows = [sum(c) + (0 if params.elitism else c.count(0)) for c in counts.tolist()]
-    draws = [_draw_eps_rows(rng, r, dim, params.epsilon_kind, eps_fn) for rng, r in zip(rngs, rows)]
-    eps = draws[0] if blocks == 1 else np.concatenate(draws)
+    pieces = _step_pieces(counts, params.elitism, rngs, dim, params.epsilon_kind, eps_fn)
     kernel = _load_native_sweep()[0] or _sweep_python
     synchronous = params.update_scheme == "synchronous"
-    return kernel(pos, counts, eps, objective.lower, objective.upper, alphas, params.beta0, -params.gamma,
+    return kernel(pos, counts, pieces, objective.lower, objective.upper, alphas, params.beta0, -params.gamma,
                   params.elitism, synchronous)
+
+
+# Steps per piece of a sweep: 8192 doubles, 64 KiB.  A 200 x 50 sweep is
+# then 141 pieces (each of the 36 fireflies with more than 163 brighter
+# peers is a piece alone), and the traced peak of one pairwise_sweep is 246
+# KiB on the C kernel and 1063 KiB on the Python one, against 7857 and
+# 48215 KiB for the whole draw; each piece's draw and C call cost that sweep
+# 2-6% more time.  Pieces of 16384 doubles cost about half of that, but take
+# the Python kernel's 60 x 40 peak from 691 to 1331 KiB.  25 x 5 (1505
+# doubles), a 5 x 8 x 5 multiswarm (725) and 2 x 4000 (8000) are one piece.
+_PIECE_DOUBLES = 8192
+
+
+def _step_pieces(counts, elitism, rngs, dim, kind, eps_fn):
+    """The sweep's steps as (start, stop, eps) pieces, in row order.
+
+    start and stop are stacked firefly rows (block b, firefly i is row
+    b * n + i), and eps holds, in draw order, the (rows, d) steps of those
+    fireflies: one per brighter peer, one per walker (a firefly with no
+    brighter peer) unless elitism holds it.  A sweep whose steps fit in
+    _PIECE_DOUBLES is one piece, drawn here, block by block, as one list;
+    a larger one comes as _drawn_pieces, a generator that draws each
+    piece when the kernel takes it.
+    """
+    blocks, pop = counts.shape
+    walker = 0 if elitism else 1
+    rows = [sum(c) + walker * c.count(0) for c in counts.tolist()]
+    if sum(rows) * dim <= _PIECE_DOUBLES:
+        draws = [_draw_eps_rows(rng, r, dim, kind, eps_fn) for rng, r in zip(rngs, rows)]
+        return [(0, blocks * pop, draws[0] if blocks == 1 else np.concatenate(draws))] if pop else []
+    return _drawn_pieces([c or walker for c in counts.ravel().tolist()], pop, rngs, dim, kind, eps_fn)
+
+
+def _drawn_pieces(need, pop, rngs, dim, kind, eps_fn):
+    """The pieces of a sweep whose steps pass _PIECE_DOUBLES, each drawn as it is taken.
+
+    need[r] is the rows of stacked firefly r.  A piece is the longest run
+    of fireflies from where the last one stopped whose rows fit in
+    _PIECE_DOUBLES, or one firefly whose rows alone do not.  The pieces
+    cross block boundaries freely, and block b's rows come from rngs[b], in
+    row order.  The epsilon_kind sources draw each block's rows of a piece
+    as they come, which gives one draw's values and stream state; eps_fn
+    draws a block whole at the block's first piece, and its pieces are
+    slices of that draw.  Either way every stream sees the calls of one
+    draw per block, in block order.
+    """
+    ends = list(accumulate(need, initial=0))  # ends[r]: the step rows of fireflies before r
+    limit = _PIECE_DOUBLES // dim
+    start = 0
+    while start < len(need):
+        stop = max(bisect_right(ends, ends[start] + limit) - 1, start + 1)
+        parts = []
+        for b in range(start // pop, (stop - 1) // pop + 1):
+            first, last = max(start, b * pop), min(stop, (b + 1) * pop)
+            if eps_fn is None:
+                parts.append(_draw_eps_rows(rngs[b], ends[last] - ends[first], dim, kind, None))
+                continue
+            if first == b * pop:
+                whole = _draw_eps_rows(rngs[b], ends[first + pop] - ends[first], dim, kind, eps_fn)
+            parts.append(whole[ends[first] - ends[b * pop]:ends[last] - ends[b * pop]])
+        yield start, stop, parts[0] if len(parts) == 1 else np.concatenate(parts)
+        start = stop
 
 
 # The sweep as one C function for any (blocks, pop, dim), built and loaded by
 # _load_native_sweep; _sweep_python is the same loop on Python floats.  Each
-# element sees the same operations in the same order in both: 1/width and
-# alpha_t * width formed once per call and per block from width = hi - lo
-# (the single roundings numpy makes), r2 summed left to right from
-# (a - p) * (1/width), beta0 * exp(ng * r2) through libm's exp (the function
-# math.exp calls), (p + beta*d) + e, the synchronous c += beta*d + e then
-# p + c, and the same clamp.  e = eps * aw is the one rounding of
-# _sweep_python's eps * (alpha_t * width).  Block b is rows b*pop to
-# (b+1)*pop, its peers are rows of the same block, and eps carries on from
-# block to block in draw order.  Rows are read from pos and written to out:
-# an asynchronous move reads its peers' moved rows in out, a synchronous one
-# the snapshot in pos.  The front end's order check makes counts[i] <= i
-# within a block, so every peer row has been written already.  scale is
-# room for the two rows 1/width and alpha_t * width, allocated by the
-# caller, so the loop allocates nothing and has no failure to report.
+# element sees the same operations in the same order in both: 1/width formed
+# once per call and alpha_t * width at the start of the call and of each
+# block, from width = hi - lo (the single roundings numpy makes), r2 summed
+# left to right from (a - p) * (1/width), beta0 * exp(ng * r2) through libm's
+# exp (the function math.exp calls), (p + beta*d) + e, the synchronous
+# c += beta*d + e then p + c, and the same clamp.  e = eps * aw is the one rounding of
+# _sweep_python's eps * (alpha_t * width).  One call moves the stacked rows
+# start to stop - 1 of one piece (row r is firefly r % pop of block r / pop)
+# and reads eps, that piece's steps, from its first row.  A row's peers are
+# rows of its own block, read from pos and written to out: an asynchronous
+# move reads its peers' moved rows in out, a synchronous one the snapshot in
+# pos.  The front end's order check makes counts[i] <= i within a block, so
+# every peer row has been written already, by this call or an earlier one.
+# scale is room for the two rows 1/width and alpha_t * width, allocated by
+# the caller, so the loop allocates nothing and has no failure to report.
 _SWEEP_C = r"""
 #include <math.h>
 #include <stdint.h>
@@ -468,46 +549,48 @@ static double attraction(const double *a, const double *p, const double *w, int6
     return beta0 * exp(ng * r2);
 }
 
-void fa_sweep(int64_t blocks, int64_t pop, int64_t dim, const double *pos, double *out,
+void fa_sweep(int64_t pop, int64_t dim, int64_t start, int64_t stop, const double *pos, double *out,
               const int64_t *counts, const double *eps, const double *lo, const double *hi,
               const double *alpha, double beta0, double ng, int elitism, int synchronous, double *scale)
 {
     double *w = scale, *aw = scale + dim;
     for (int64_t k = 0; k < dim; k++)
         w[k] = 1.0 / (hi[k] - lo[k]);
-    for (int64_t b = 0; b < blocks; b++, pos += pop * dim, out += pop * dim, counts += pop) {
-        for (int64_t k = 0; k < dim; k++)
-            aw[k] = alpha[b] * (hi[k] - lo[k]);
-        for (int64_t i = 0; i < pop; i++) {
-            const double *p = pos + i * dim;
-            double *o = out + i * dim;
-            if (counts[i] == 0 && elitism) {
+    for (int64_t r = start, b = start / pop, i = start % pop; r < stop; r++, i++) {
+        if (i == pop)
+            b++, i = 0;
+        const double *snapshot = pos + b * pop * dim, *p = pos + r * dim;
+        const double *moved = out + b * pop * dim;
+        double *o = out + r * dim;
+        if (r == start || i == 0)
+            for (int64_t k = 0; k < dim; k++)
+                aw[k] = alpha[b] * (hi[k] - lo[k]);
+        if (counts[r] == 0 && elitism) {
+            for (int64_t k = 0; k < dim; k++)
+                o[k] = p[k];
+        } else if (counts[r] == 0) {
+            for (int64_t k = 0; k < dim; k++)
+                o[k] = clamp(p[k] + eps[k] * aw[k], lo[k], hi[k]);
+            eps += dim;
+        } else if (synchronous) {
+            for (int64_t k = 0; k < dim; k++)
+                o[k] = 0.0;
+            for (int64_t j = 0; j < counts[r]; j++, eps += dim) {
+                const double *a = snapshot + j * dim;
+                double beta = attraction(a, p, w, dim, beta0, ng);
                 for (int64_t k = 0; k < dim; k++)
-                    o[k] = p[k];
-            } else if (counts[i] == 0) {
+                    o[k] += beta * (a[k] - p[k]) + eps[k] * aw[k];
+            }
+            for (int64_t k = 0; k < dim; k++)
+                o[k] = clamp(p[k] + o[k], lo[k], hi[k]);
+        } else {
+            for (int64_t k = 0; k < dim; k++)
+                o[k] = p[k];
+            for (int64_t j = 0; j < counts[r]; j++, eps += dim) {
+                const double *a = moved + j * dim;
+                double beta = attraction(a, o, w, dim, beta0, ng);
                 for (int64_t k = 0; k < dim; k++)
-                    o[k] = clamp(p[k] + eps[k] * aw[k], lo[k], hi[k]);
-                eps += dim;
-            } else if (synchronous) {
-                for (int64_t k = 0; k < dim; k++)
-                    o[k] = 0.0;
-                for (int64_t j = 0; j < counts[i]; j++, eps += dim) {
-                    const double *a = pos + j * dim;
-                    double beta = attraction(a, p, w, dim, beta0, ng);
-                    for (int64_t k = 0; k < dim; k++)
-                        o[k] += beta * (a[k] - p[k]) + eps[k] * aw[k];
-                }
-                for (int64_t k = 0; k < dim; k++)
-                    o[k] = clamp(p[k] + o[k], lo[k], hi[k]);
-            } else {
-                for (int64_t k = 0; k < dim; k++)
-                    o[k] = p[k];
-                for (int64_t j = 0; j < counts[i]; j++, eps += dim) {
-                    const double *a = out + j * dim;
-                    double beta = attraction(a, o, w, dim, beta0, ng);
-                    for (int64_t k = 0; k < dim; k++)
-                        o[k] = clamp(o[k] + beta * (a[k] - o[k]) + eps[k] * aw[k], lo[k], hi[k]);
-                }
+                    o[k] = clamp(o[k] + beta * (a[k] - o[k]) + eps[k] * aw[k], lo[k], hi[k]);
             }
         }
     }
@@ -520,13 +603,14 @@ _SWEEP_C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _NATIVE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 
 
-def _sweep_python(pos, counts, eps, lower, upper, alphas, beta0, ng, elitism, synchronous) -> np.ndarray:
+def _sweep_python(pos, counts, pieces, lower, upper, alphas, beta0, ng, elitism, synchronous) -> np.ndarray:
     """The sweep on plain Python floats: the fallback to the C loop.
 
-    Block by block, one firefly and one d at a time, each element sees
-    _SWEEP_C's operations in its order.  Rows are moved
-    in place in out; an asynchronous move reads its peers' moved rows
-    there, a synchronous one the snapshot in peers.
+    Piece by piece, one firefly and one d at a time, each element sees
+    _SWEEP_C's operations in its order.  Rows are moved in place in out; an
+    asynchronous move reads its peers' moved rows there, a synchronous one
+    the snapshot in peers.  Each piece's steps become Python floats only
+    when the loop reaches that piece.
     """
     width = upper - lower
     lo, hi, w = lower.tolist(), upper.tolist(), (1.0 / width).tolist()
@@ -534,41 +618,47 @@ def _sweep_python(pos, counts, eps, lower, upper, alphas, beta0, ng, elitism, sy
     exp = math.exp
     out = pos.tolist()
     snapshot = pos.tolist() if synchronous else out
-    start = 0
-    for block, peers, block_counts, alpha_t in zip(out, snapshot, counts.tolist(), alphas):
-        # the block's rows of the draw, in draw order, as steps eps * (alpha_t * width):
-        # one rounding per element
-        stop = start + sum(block_counts) + (0 if elitism else block_counts.count(0))
-        steps = iter((eps[start:stop] * (alpha_t * width)).tolist())
-        start = stop
-        for p, ci in zip(block, block_counts):
-            if ci == 0:
-                if not elitism:
-                    e = next(steps)
+    counts = counts.tolist()
+    pop = len(counts[0])
+    for start, stop, eps in pieces:
+        row = 0
+        for b in range(start // pop, (stop - 1) // pop + 1):
+            first, last = max(start - b * pop, 0), min(stop - b * pop, pop)
+            block_counts = counts[b][first:last]
+            # the block's rows of the piece, in draw order, as steps eps * (alpha_t * width):
+            # one rounding per element
+            rows = sum(block_counts) + (0 if elitism else block_counts.count(0))
+            steps = iter((eps[row:row + rows] * (alphas[b] * width)).tolist())
+            row += rows
+            peers = snapshot[b]
+            for p, ci in zip(out[b][first:last], block_counts):
+                if ci == 0:
+                    if not elitism:
+                        e = next(steps)
+                        for d in dims:
+                            v = p[d] + e[d]
+                            p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
+                    continue
+                c = [0.0] * len(lo)
+                for a in peers[:ci]:
+                    r2 = 0.0
                     for d in dims:
-                        v = p[d] + e[d]
-                        p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
-                continue
-            c = [0.0] * len(lo)
-            for a in peers[:ci]:
-                r2 = 0.0
-                for d in dims:
-                    n = (a[d] - p[d]) * w[d]
-                    r2 += n * n
-                beta = beta0 * exp(ng * r2)
-                e = next(steps)
+                        n = (a[d] - p[d]) * w[d]
+                        r2 += n * n
+                    beta = beta0 * exp(ng * r2)
+                    e = next(steps)
+                    if synchronous:
+                        for d in dims:
+                            c[d] += beta * (a[d] - p[d]) + e[d]
+                    else:
+                        for d in dims:
+                            v = p[d] + beta * (a[d] - p[d]) + e[d]
+                            p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
                 if synchronous:
                     for d in dims:
-                        c[d] += beta * (a[d] - p[d]) + e[d]
-                else:
-                    for d in dims:
-                        v = p[d] + beta * (a[d] - p[d]) + e[d]
+                        v = p[d] + c[d]
                         p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
-            if synchronous:
-                for d in dims:
-                    v = p[d] + c[d]
-                    p[d] = lo[d] if v < lo[d] else hi[d] if v > hi[d] else v
-    return np.array(out, dtype=float)
+    return np.array(out, dtype=float).reshape(pos.shape)
 
 
 def _address(a: np.ndarray) -> int:
@@ -583,15 +673,14 @@ def _address(a: np.ndarray) -> int:
         return a.ctypes.data
 
 
-def _sweep_c(fa_sweep, pos, counts, eps, lower, upper, alphas, beta0, ng, elitism, synchronous) -> np.ndarray:
-    """The sweep in fa_sweep, the loaded _SWEEP_C.
+def _sweep_c(fa_sweep, pos, counts, pieces, lower, upper, alphas, beta0, ng, elitism, synchronous) -> np.ndarray:
+    """The sweep in fa_sweep, the loaded _SWEEP_C: one call per piece.
 
     pos is C-contiguous float64 (S, n, d), as sweep_blocks makes it.  The C
-    loop scales the steps, so the draw is neither copied nor written to.
+    loop scales the steps, so no piece is copied or written to.
     """
     blocks, pop, dim = pos.shape
     counts = np.ascontiguousarray(counts, dtype=np.int64)
-    eps = np.ascontiguousarray(eps)
     lower = np.ascontiguousarray(lower)
     upper = np.ascontiguousarray(upper)
     out = np.empty_like(pos)
@@ -599,8 +688,11 @@ def _sweep_c(fa_sweep, pos, counts, eps, lower, upper, alphas, beta0, ng, elitis
     # per block count faulted in about 25 more pages (100 KiB) in a process
     alpha = struct.pack(f"{blocks}d", *alphas)
     scale = np.empty(2 * dim)
-    fa_sweep(blocks, pop, dim, _address(pos), _address(out), _address(counts), _address(eps), _address(lower),
-             _address(upper), alpha, beta0, ng, elitism, synchronous, _address(scale))
+    p, o, c, s = _address(pos), _address(out), _address(counts), _address(scale)
+    lo, hi = _address(lower), _address(upper)
+    for start, stop, eps in pieces:
+        eps = np.ascontiguousarray(eps)  # held here, so its address stays valid through the call
+        fa_sweep(pop, dim, start, stop, p, o, c, _address(eps), lo, hi, alpha, beta0, ng, elitism, synchronous, s)
     return out
 
 
@@ -649,7 +741,11 @@ def _native_agrees(kernel) -> bool:
     blocks in one call, each with its own alpha_t and its own walkers (the
     counts of [0, 0, 1, 2, 2, 3] in the second), so a block that starts at
     the wrong row, reads another block's alpha_t or restarts the steps
-    cannot pass.  Both schemes, with and without elitism.
+    cannot pass.  The two blocks come as three pieces, cut inside block 0
+    and then at the block boundary (or, with elitism, inside block 1, so
+    the middle piece crosses the boundary), so a loop that mishandles a
+    piece's row range cannot pass either.  Both schemes, with and without
+    elitism.
     """
     first, second = [0, 1, 1, 3, 4, 5], [0, 0, 2, 3, 3, 5]
     lower, upper = np.full(3, -1.0), np.full(3, 1.0)
@@ -658,9 +754,12 @@ def _native_agrees(kernel) -> bool:
             for elitism in (False, True):
                 rng = np.random.default_rng(2)
                 pos = rng.uniform(-1.0, 1.0, (len(counts), 6, 3))
-                walkers = 0 if elitism else int(np.count_nonzero(counts == 0))
-                eps = rng.standard_normal((int(counts.sum()) + walkers, 3))
-                args = (pos, counts, eps, lower, upper, alphas, 0.9, -2.0, elitism, synchronous)
+                # the first step row of each firefly, and the end of the steps
+                rows = np.cumsum([0, *np.where(counts == 0, 0 if elitism else 1, counts).ravel()])
+                eps = rng.standard_normal((int(rows[-1]), 3))
+                cuts = [0, 6] if len(counts) == 1 else [0, 3, 9 if elitism else 6, 12]
+                pieces = [(a, b, eps[rows[a]:rows[b]]) for a, b in zip(cuts, cuts[1:])]
+                args = (pos, counts, pieces, lower, upper, alphas, 0.9, -2.0, elitism, synchronous)
                 if kernel(*args).tobytes() != _sweep_python(*args).tobytes():
                     return False
     return True
@@ -681,7 +780,7 @@ def _load_native_sweep() -> tuple[Optional[Callable], str]:
         fa_sweep = ctypes.CDLL(path).fa_sweep
     except (OSError, AttributeError) as exc:
         return None, f"the C sweep did not build or load: {exc}"
-    fa_sweep.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_double] * 2 + [ctypes.c_int] * 2 + [
+    fa_sweep.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 7 + [ctypes.c_double] * 2 + [ctypes.c_int] * 2 + [
         ctypes.c_void_p]
     fa_sweep.restype = None
     kernel = partial(_sweep_c, fa_sweep)

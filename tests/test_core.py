@@ -9,11 +9,12 @@ import re
 import shutil
 import sysconfig
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sweep_oracle import sweep_scalar
 
@@ -1038,6 +1039,214 @@ def test_pairwise_sweep_rejects_positions_that_do_not_match_fitness(reshape, sha
     assert state.rng.bit_generator.state == stream
 
 
+# ------------------------------------------------------- steps in pieces
+
+
+def _kernels():
+    """(name, kernel) for the Python kernel, and for the C kernel when this process loads it."""
+    native = core._load_native_sweep()[0]
+    return [("python", core._sweep_python)] + ([("c", native)] if native is not None else [])
+
+
+def _piece_spy(kernel, bounds):
+    """kernel, appending the (start, stop) of each piece it takes to bounds."""
+
+    def spy(pos, counts, pieces, *args):
+        def taken():
+            for start, stop, eps in pieces:
+                bounds.append((start, stop))
+                yield start, stop, eps
+
+        return kernel(pos, counts, taken(), *args)
+
+    return spy
+
+
+def _sweep_stacked(states, obj, params, alphas, eps_fn=None):
+    """sweep_blocks on the swarms stacked as blocks, each block with its swarm's stream."""
+    positions, fitness = np.stack([s.positions for s in states]), np.stack([s.fitness for s in states])
+    return core.sweep_blocks(positions, fitness, [s.rng for s in states], obj, params, alphas, eps_fn)
+
+
+def _assert_pieces_cover(bounds, rows):
+    """bounds are consecutive runs from row 0 to rows, each of at least one firefly."""
+    assert bounds[0][0] == 0 and bounds[-1][1] == rows
+    assert all(start < stop for start, stop in bounds)
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(core.EPSILON_KINDS),
+    seed=st.integers(0, 2**63 - 1),
+    n=st.integers(1, 3000),
+    cuts=st.lists(st.integers(1, 2999), max_size=12),
+)
+@example(kind="gaussian", seed=1, n=64, cuts=list(range(1, 64)))
+@example(kind="uniform_centered", seed=1, n=64, cuts=list(range(1, 64)))
+def test_default_step_sources_drawn_in_pieces_give_one_draws_bytes_and_stream_state(kind, seed, n, cuts):
+    # the sweep draws the epsilon_kind sources piece by piece; this is the
+    # numpy behaviour that keeps those draws the bytes of one draw
+    source = core._EPSILON_STEPS[kind]
+    whole_rng, split_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    whole = source(whole_rng, n)
+    bounds = sorted({0, n, *(c for c in cuts if c < n)})
+    split = np.concatenate([source(split_rng, b - a) for a, b in zip(bounds, bounds[1:])])
+    assert split.tobytes() == whole.tobytes()
+    assert split_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("elitism", [False, True])
+@pytest.mark.parametrize("ties", [False, True])
+def test_sweep_in_several_pieces_matches_the_oracle_on_both_kernels(scheme, elitism, ties, monkeypatch):
+    obj, state = _sweep_state(60, 40, seed=11, fitness=[i // 4 for i in range(60)] if ties else None)
+    params = FaParams(pop_size=60, max_fes=600, update_scheme=scheme, elitism=elitism)
+    expected = copy.deepcopy(state)
+    sweep_scalar(expected, obj, params, 0.3, None)
+    kernels = _kernels()
+    for name, kernel in kernels:
+        bounds = []
+        monkeypatch.setattr(core, "_load_native_sweep", lambda: (_piece_spy(kernel, bounds), ""))
+        swept = copy.deepcopy(state)
+        pairwise_sweep(swept, obj, params, 0.3)
+        assert _sweep_bytes(swept) == _sweep_bytes(expected), name
+        assert len(bounds) > 2, name
+        _assert_pieces_cover(bounds, 60)
+    if len(kernels) == 1:
+        pytest.skip(f"C sweep not compared: {core._load_native_sweep()[1]}")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("elitism", [False, True])
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("shared", [False, True], ids=["own_streams", "one_stream"])
+def test_sweep_blocks_in_pieces_that_cross_blocks_matches_the_oracle(scheme, elitism, ties, shared, monkeypatch):
+    # three blocks of 30 x 40 whose pieces cross block boundaries; with one
+    # stream for all three, the blocks draw from it in block order
+    pop, dim, alphas = 30, 40, (0.3, 0.05, 0.6)
+    params = FaParams(pop_size=pop, max_fes=10 * pop, update_scheme=scheme, elitism=elitism)
+    fitness = [i // 3 for i in range(pop)] if ties else None
+    states = [_sweep_state(pop, dim, seed=20 + b, fitness=fitness)[1] for b in range(3)]
+    obj = lookup("rastrigin", dim)
+    if shared:
+        for s in states[1:]:
+            s.rng = states[0].rng
+    expected = copy.deepcopy(states)  # one deepcopy, so a shared stream stays shared
+    for s, alpha_t in zip(expected, alphas):
+        sweep_scalar(s, obj, params, alpha_t, None)
+    kernels = _kernels()
+    for name, kernel in kernels:
+        bounds = []
+        monkeypatch.setattr(core, "_load_native_sweep", lambda: (_piece_spy(kernel, bounds), ""))
+        swept = copy.deepcopy(states)
+        moved = _sweep_stacked(swept, obj, params, alphas)
+        for s, p in zip(swept, moved):
+            s.positions = p
+        assert [_sweep_bytes(s) for s in swept] == [_sweep_bytes(s) for s in expected], name
+        _assert_pieces_cover(bounds, 3 * pop)
+        assert any(start // pop != (stop - 1) // pop for start, stop in bounds), bounds
+    if len(kernels) == 1:
+        pytest.skip(f"C sweep not compared: {core._load_native_sweep()[1]}")
+
+
+def test_a_custom_step_source_is_called_once_per_block_for_its_whole_draw(monkeypatch):
+    calls = []
+
+    def counting(rng, n):
+        calls.append((rng, n))
+        return levy_step(rng, n, 1.5)
+
+    # one block of 200 x 50, many pieces: one call for all 19901 rows
+    obj, state = _sweep_state(200, 50, seed=3)
+    params = FaParams(pop_size=200, max_fes=2000)
+    expected = copy.deepcopy(state)
+    sweep_scalar(expected, obj, params, 0.3, counting)
+    assert calls == [(expected.rng, (199 * 200 // 2 + 1) * 50)]
+    calls.clear()
+    pairwise_sweep(state, obj, params, 0.3, counting)
+    assert calls == [(state.rng, (199 * 200 // 2 + 1) * 50)]
+    assert _sweep_bytes(state) == _sweep_bytes(expected)
+    # three blocks of 30 x 40 on both kernels: one call per block, in block order
+    pop, dim, alphas = 30, 40, (0.3, 0.05, 0.6)
+    params = FaParams(pop_size=pop, max_fes=10 * pop)
+    states = [_sweep_state(pop, dim, seed=30 + b)[1] for b in range(3)]
+    obj = lookup("rastrigin", dim)
+    expected = copy.deepcopy(states)
+    for s, alpha_t in zip(expected, alphas):
+        sweep_scalar(s, obj, params, alpha_t, counting)
+    for name, kernel in _kernels():
+        monkeypatch.setattr(core, "_load_native_sweep", lambda: (kernel, ""))
+        swept = copy.deepcopy(states)
+        calls.clear()
+        moved = _sweep_stacked(swept, obj, params, alphas, counting)
+        assert calls == [(s.rng, (29 * 30 // 2 + 1) * dim) for s in swept], name
+        assert [p.tobytes() for p in moved] == [s.positions.tobytes() for s in expected], name
+
+
+@pytest.mark.parametrize("loader", ["enabled", "disabled"])
+@pytest.mark.parametrize("rngs, alphas", [(2, 3), (3, 2), (4, 3), (3, 4), (2, 2)])
+def test_sweep_blocks_rejects_other_than_one_stream_and_one_alpha_per_block(rngs, alphas, loader, monkeypatch):
+    # a (3, 8, 5) block stack; before, the C loop read steps past the end of
+    # a short draw, and the Python loop left blocks without an alpha unmoved
+    if loader == "disabled":
+        _without_native(monkeypatch)
+    states = [_sweep_state(8, 5, seed=b)[1] for b in range(4)]
+    pos = np.stack([s.positions for s in states[:3]])
+    fit = np.stack([s.fitness for s in states[:3]])
+    streams = [s.rng.bit_generator.state for s in states]
+    message = f"one rng and one alpha per block: 3 blocks, {rngs} rngs, {alphas} alphas"
+    params = FaParams(pop_size=8, max_fes=80)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        core.sweep_blocks(pos, fit, [s.rng for s in states[:rngs]], lookup("rastrigin", 5), params, [0.3] * alphas)
+    assert [s.rng.bit_generator.state for s in states] == streams
+
+
+@pytest.mark.parametrize("loader", ["enabled", "disabled"])
+@pytest.mark.parametrize("shape", [(8, 5), (200, 50)], ids=["one_piece", "many_pieces"])
+@pytest.mark.parametrize("extra", [-1, 1, 5])
+def test_sweep_rejects_a_step_source_that_returns_other_than_it_was_asked_for(extra, shape, loader, monkeypatch):
+    if loader == "disabled":
+        _without_native(monkeypatch)
+    pop, dim = shape
+    obj, state = _sweep_state(pop, dim, seed=2)
+    rows = pop * (pop - 1) // 2 + 1
+    with pytest.raises(ValueError, match=f"returned {rows * dim + extra} values, not the {rows * dim} asked for"):
+        pairwise_sweep(state, obj, FaParams(pop_size=pop, max_fes=10 * pop), 0.3,
+                       lambda rng, n: rng.standard_normal(n + extra))
+
+
+@pytest.mark.parametrize("loader", ["enabled", "disabled"])
+def test_sweep_of_an_empty_population_keeps_its_shape(loader, monkeypatch):
+    # no firefly, so no piece and no kernel call; the C loop would divide by pop = 0
+    if loader == "disabled":
+        _without_native(monkeypatch)
+    obj = lookup("rastrigin", 3)
+    state = SwarmState(np.empty((0, 3)), np.empty(0), t=0, fes_used=0, best=None, rng=np.random.default_rng(0))
+    pairwise_sweep(state, obj, FaParams(pop_size=1, max_fes=10), 0.3)
+    assert state.positions.shape == (0, 3)
+
+
+@pytest.mark.parametrize("path, pop, dim", [("c", 200, 50), ("python", 60, 40)])
+def test_sweep_traced_peak_stays_under_one_mib(path, pop, dim, monkeypatch):
+    # the whole draw was 7.6 MiB at 200 x 50 on the C kernel, and 2.9 MiB
+    # of Python floats at 60 x 40 on the Python one; a sweep now holds one
+    # piece of steps at a time
+    if path == "python":
+        _without_native(monkeypatch)
+    elif core._load_native_sweep()[0] is None:
+        pytest.skip(f"no C sweep: {core._load_native_sweep()[1]}")
+    obj, state = _sweep_state(pop, dim, seed=1)
+    params = FaParams(pop_size=pop, max_fes=10 * pop)
+    tracemalloc.start()
+    try:
+        pairwise_sweep(state, obj, params, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # --------------------------------------------------------- C sweep loader
 
 
@@ -1152,6 +1361,25 @@ def test_c_sweep_self_check_case_has_a_walker_a_tie_and_moves_past_both_bounds(m
             # a walker (a firefly with no brighter peer) and a tie group in every block
             assert block_counts.count(0) >= 1 and len(block_counts) - len(set(block_counts)) >= 1
             assert (block_out == lower).any() and (block_out == upper).any()
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "right, wrong",
+    [
+        ("int64_t r = start, b = start / pop, i = start % pop", "int64_t r = 0, b = 0, i = 0"),
+        ("b = start / pop,", "b = 0,"),
+        ("if (r == start || i == 0)", "if (r == start)"),
+    ],
+    ids=["restarts_at_row_0", "starts_in_block_0", "keeps_alpha_across_blocks"],
+)
+def test_c_sweep_that_mishandles_a_piece_fails_the_self_check(right, wrong, native_dir, monkeypatch):
+    # a loop that restarts each piece at row 0, places its first row in block 0,
+    # or keeps the first block's alpha_t in a piece that crosses into the next
+    assert right in core._SWEEP_C
+    core._build_native(core._SWEEP_C.replace(right, wrong), core._native_path())
+    kernel, why = core._load_native_sweep()
+    assert kernel is None and "does not give the Python sweep's bytes" in why
 
 
 # -------------------------------------------------------------------- run
