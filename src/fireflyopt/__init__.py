@@ -3,114 +3,43 @@
 Base algorithm and its published variant mechanisms as composable
 strategies, a benchmark registry including a dynamic moving-peaks
 landscape, and a seeded experiment harness with machine-readable output.
-"""
 
-from .benchmarks import (
-    FOUR_PEAKS_MINIMA,
-    MovingPeaks,
-    benchmark_names,
-    lookup,
-    make_moving_peaks,
-)
-from .core import (
-    EvaluationError,
-    FaParams,
-    Firefly,
-    Objective,
-    RunReport,
-    SwarmState,
-    attractiveness,
-    distance,
-    evaluate,
-    find_best,
-    initialize,
-    intensity_at,
-    move_firefly,
-    order,
-    pairwise_sweep,
-    run,
-    step,
-)
-from .harness import (
-    ExperimentConfig,
-    SummaryStats,
-    compare_variants,
-    emit_results,
-    parse_config,
-    run_experiment,
-    run_multiswarm,
-    run_single,
-)
-from .randomization import (
-    ScheduleDescriptor,
-    alpha_at,
-    gaussian_step,
-    levy_step,
-    logistic_next,
-    mantegna_sigma,
-    uniform_centered_step,
-)
-from .variants import (
-    MultiSwarmConfig,
-    PenaltySpec,
-    SentinelSet,
-    elitist_best_move,
-    global_best_pull_step,
-    initialize_multiswarm,
-    make_sentinels,
-    multiswarm_step,
-    penalty_wrap,
-    reduction_mode,
-)
+The names below are imported from their submodule when first used (PEP
+562), so `import fireflyopt` loads neither numpy nor yaml.  That lets the
+command line (fireflyopt.cli) set its environment before numpy loads.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EvaluationError",
-    "ExperimentConfig",
-    "FOUR_PEAKS_MINIMA",
-    "FaParams",
-    "Firefly",
-    "MovingPeaks",
-    "MultiSwarmConfig",
-    "Objective",
-    "PenaltySpec",
-    "RunReport",
-    "ScheduleDescriptor",
-    "SentinelSet",
-    "SummaryStats",
-    "SwarmState",
-    "alpha_at",
-    "attractiveness",
-    "benchmark_names",
-    "compare_variants",
-    "distance",
-    "elitist_best_move",
-    "emit_results",
-    "evaluate",
-    "find_best",
-    "gaussian_step",
-    "global_best_pull_step",
-    "initialize",
-    "initialize_multiswarm",
-    "intensity_at",
-    "levy_step",
-    "logistic_next",
-    "lookup",
-    "make_moving_peaks",
-    "make_sentinels",
-    "mantegna_sigma",
-    "move_firefly",
-    "multiswarm_step",
-    "order",
-    "pairwise_sweep",
-    "parse_config",
-    "penalty_wrap",
-    "reduction_mode",
-    "run",
-    "run_experiment",
-    "run_multiswarm",
-    "run_single",
-    "step",
-    "uniform_centered_step",
-]
+# public name -> the submodule that defines it
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "benchmarks": "FOUR_PEAKS_MINIMA MovingPeaks benchmark_names lookup make_moving_peaks",
+        "core": "EvaluationError FaParams Firefly Objective RunReport SwarmState attractiveness distance "
+                "evaluate find_best initialize intensity_at move_firefly order pairwise_sweep run step",
+        "harness": "ExperimentConfig SummaryStats compare_variants emit_results parse_config run_experiment "
+                   "run_multiswarm run_single",
+        "randomization": "ScheduleDescriptor alpha_at gaussian_step levy_step logistic_next mantegna_sigma "
+                         "uniform_centered_step",
+        "variants": "MultiSwarmConfig PenaltySpec SentinelSet elitist_best_move global_best_pull_step "
+                    "initialize_multiswarm make_sentinels multiswarm_step penalty_wrap reduction_mode",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULE})

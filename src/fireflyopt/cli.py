@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# The engine's only BLAS calls are tiny stacked matmuls, yet OpenBLAS starts
+# a worker thread that spins after numpy loads and costs each process about
+# 0.13 s of CPU (2-vCPU VM).  OpenBLAS reads this once, when numpy loads,
+# which is below: the package imports its submodules on first use.  A value
+# set by the user wins, and library code that does not import the CLI is
+# left alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .benchmarks import benchmark_names
 from .harness import compare_variants, emit_results, parse_config, run_experiment

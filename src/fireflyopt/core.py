@@ -242,13 +242,18 @@ def checked_rows(objective: Objective, positions: np.ndarray) -> list[float]:
     one twin call; otherwise its rows go to objective.eval one by one, in
     order.  Both give the same values.  A non-finite value (NaN or +-inf)
     raises EvaluationError naming the first such position; on the
-    per-point path no position after it is evaluated.
+    per-point path no position after it is evaluated.  The twin's values
+    are checked by one finite sum; only a sum that is not finite (a
+    non-finite value, or finite values whose sum overflows) is scanned
+    value by value.
     """
     rows = _row_twin(objective.eval)
     if rows is None:
         values = map(float, map(objective.eval, positions))
     else:
         values = rows(positions).tolist()
+        if math.isfinite(sum(values)):
+            return values
     checked = []
     for value in values:
         if not math.isfinite(value):
@@ -797,17 +802,19 @@ def step(
 ) -> SwarmState:
     """One generation: schedule alpha, evaluate and track best, sort, move.
 
-    evaluate reconciles the best-so-far with each value it computes.  The
-    movement phase is skipped once the budget is exhausted (its result
-    could never be evaluated).  A custom sweep replaces the pairwise
-    attraction while keeping the rest of the generation structure.
+    evaluate reconciles the best-so-far with each value it computes.  Once
+    the budget is exhausted the population keeps its row order and does
+    not move (a move could never be evaluated), so a pass cut short by the
+    budget, which may leave unevaluated (NaN) rows, is never sorted.  A
+    custom sweep replaces the pairwise attraction while keeping the rest of
+    the generation structure.
     """
     if state.fes_used >= params.max_fes:
         raise ValueError("evaluation budget already exhausted")
     alpha_t = alpha_at(params.alpha_schedule, state.t)
     evaluate(state, objective, params)
-    order(state)
     if state.fes_used < params.max_fes:
+        order(state)
         if sweep is None:
             pairwise_sweep(state, objective, params, alpha_t)
         else:
@@ -822,8 +829,10 @@ def step_swarms(states: Sequence[SwarmState], objective: Objective, params: FaPa
     The swarms must be of one size.  Their rows go to one checked_rows
     call, each swarm's rows cut to its own remaining budget, in swarm
     order, which is the order step would evaluate them in (a sweep never
-    evaluates).  record_values writes each swarm's values back, one stable
-    argsort orders the (S, n) fitness, and the swarms still within budget
+    evaluates).  record_values writes each swarm's values back.  A swarm
+    whose budget this pass used up keeps its row order and does not move,
+    as in step: only it can hold unevaluated (NaN) rows, from a cut pass.
+    One stable argsort orders the (S, n) fitness of the others, and they
     move in one sweep_blocks call.  If the objective raises, no swarm has
     been written back.
     """
@@ -831,7 +840,6 @@ def step_swarms(states: Sequence[SwarmState], objective: Objective, params: FaPa
     if not active:
         return
     pop, dim = len(active[0].fitness), objective.dim
-    alphas = [alpha_at(params.alpha_schedule, s.t) for s in active]
     takes = [min(pop, params.max_fes - s.fes_used) for s in active]
     pos = np.concatenate([s.positions for s in active])
     rows = pos if sum(takes) == len(pos) else np.concatenate([s.positions[:n] for s, n in zip(active, takes)])
@@ -840,23 +848,22 @@ def step_swarms(states: Sequence[SwarmState], objective: Objective, params: FaPa
     for s, n in zip(active, takes):
         record_values(s, values[start:start + n])
         start += n
-    fit = np.concatenate([s.fitness for s in active]).reshape(-1, pop)
-    if np.isnan(fit).any():
-        raise ValueError("cannot order an unevaluated population")
-    # each swarm's ranks, offset to its rows of the stacked (S * n) arrays
-    rank = np.argsort(fit, axis=1, kind="stable")
-    rank += np.arange(0, rank.size, pop)[:, None]
-    rank = rank.ravel()
-    fit = fit.ravel()[rank].reshape(-1, pop)
-    pos = pos.reshape(-1, dim)[rank].reshape(-1, pop, dim)
-    moving = [k for k, s in enumerate(active) if s.fes_used < params.max_fes]
-    rngs = [active[k].rng for k in moving]
-    if len(moving) == len(active):
-        pos = sweep_blocks(pos, fit, rngs, objective, params, alphas)
-    elif moving:
-        pos[moving] = sweep_blocks(pos[moving], fit[moving], rngs, objective, params, [alphas[k] for k in moving])
-    for s, p, f in zip(active, pos, fit):
-        s.positions, s.fitness = p, f
+    moving = [s for s in active if s.fes_used < params.max_fes]
+    if moving:
+        if len(moving) < len(active):
+            pos = np.concatenate([s.positions for s in moving])
+        fit = np.concatenate([s.fitness for s in moving]).reshape(-1, pop)
+        # each swarm's ranks, offset to its rows of the stacked (S * n) arrays
+        rank = np.argsort(fit, axis=1, kind="stable")
+        rank += np.arange(0, rank.size, pop)[:, None]
+        rank = rank.ravel()
+        fit = fit.ravel()[rank].reshape(-1, pop)
+        pos = pos.reshape(-1, dim)[rank].reshape(-1, pop, dim)
+        alphas = [alpha_at(params.alpha_schedule, s.t) for s in moving]
+        pos = sweep_blocks(pos, fit, [s.rng for s in moving], objective, params, alphas)
+        for s, p, f in zip(moving, pos, fit):
+            s.positions, s.fitness = p, f
+    for s in active:
         s.t += 1
 
 

@@ -468,6 +468,30 @@ def test_evaluate_batch_path_raises_like_per_point_path(bad, pop, partial, share
     assert batch == f"objective returned {bad} at position {positions[first].tolist()}"
 
 
+def test_checked_rows_names_a_nan_in_a_middle_row():
+    fn, rows = _poisoned_sphere(math.inf, math.nan)
+    obj = unit_objective(dim=3, fn=fn)
+    positions = np.full((5, 3), 0.1)
+    positions[2] = positions[3] = 0.2
+    with _registered_twin(fn, lambda x: np.where(x[:, 0] == 0.2, math.nan, rows(x))):
+        with pytest.raises(EvaluationError, match=re.escape(f"returned nan at position {positions[2].tolist()}")):
+            core.checked_rows(obj, positions)
+
+
+def test_checked_rows_passes_finite_values_whose_sum_overflows():
+    values = [1e308, 1e308, -1.0]
+
+    def fn(x):
+        return values[int(x[0])]
+
+    obj = unit_objective(dim=1, lo=0.0, hi=3.0, fn=fn)
+    positions = np.arange(3.0)[:, None]
+    assert math.isinf(sum(values))
+    assert core.checked_rows(obj, positions) == values
+    with _registered_twin(fn, lambda x: np.array(values)):
+        assert core.checked_rows(obj, positions) == values
+
+
 def test_evaluate_takes_the_batch_path_once_per_pass():
     calls = []
     fn, rows = _poisoned_sphere(math.inf, math.nan)

@@ -10,6 +10,8 @@ the current source as JSON:
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -139,6 +141,23 @@ def test_artifacts_match_golden_digests_on_the_python_sweeps(name, tmp_path, mon
     monkeypatch.setattr(core, "_load_native_sweep", lambda: (None, "Python sweeps pinned"))
     golden = json.loads(GOLDEN.read_text())
     assert artifact_digests(CONFIGS[name], tmp_path) == golden[name]
+
+
+@pytest.mark.parametrize("name", ["sphere_gaussian_pull", "moving_peaks_multiswarm_d5_pop40"])
+def test_cli_emits_golden_digests_on_one_blas_thread(name, tmp_path):
+    # the CLI runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set;
+    # these two configs make the engine's matmuls (pull_rows r^2 and
+    # variants._pair_distances)
+    config, out = tmp_path / "config.yaml", tmp_path / "out"
+    config.write_text(CONFIGS[name])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(core.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "fireflyopt", "run", "--config", str(config), "--out", str(out)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == json.loads(GOLDEN.read_text())[name]
 
 
 def test_golden_digests_cover_every_config():

@@ -1,6 +1,8 @@
 """Experiment harness: config parsing, runs, emitted files, compare table, CLI."""
 
+import importlib
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -12,6 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fireflyopt
 from fireflyopt import (
     ExperimentConfig,
     Firefly,
@@ -572,6 +575,47 @@ def test_cli_import_leaves_out_concurrent_futures():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _fresh_python(code: str, env=None) -> str:
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_package_import_leaves_out_numpy_and_yaml():
+    # the names load on first use, so fireflyopt.cli runs before numpy loads
+    code = "import sys\nimport fireflyopt\nprint(sorted({'numpy', 'yaml'} & set(sys.modules)))\n"
+    assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_cli_import_runs_blas_on_one_thread_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os\nimport fireflyopt.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    assert _fresh_python(code, env) == expected
+
+
+def test_package_names_are_their_submodules_objects():
+    for name in fireflyopt.__all__:
+        module = importlib.import_module(f"fireflyopt.{fireflyopt._SUBMODULE[name]}")
+        value = getattr(fireflyopt, name)
+        assert value is getattr(module, name)
+        assert getattr(value, "__module__", module.__name__) == module.__name__
+        assert name in dir(fireflyopt)
+
+
+def test_package_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        fireflyopt.no_such_name
+    assert not hasattr(fireflyopt, "no_such_name")
+
+
+def test_package_from_import_of_a_submodule():
+    code = "from fireflyopt import core\nprint(core.__name__, callable(core.run))\n"
+    assert _fresh_python(code) == "fireflyopt.core True"
 
 
 def test_cli_import_leaves_out_subprocess_and_hashlib():

@@ -543,6 +543,28 @@ def test_multiswarm_batch_path_matches_per_point_path(num_swarms, swarm_size, se
     assert first.rng.bit_generator.state == second.rng.bit_generator.state
 
 
+def test_multiswarm_step_leaves_a_cut_rerandomized_swarm_unsorted():
+    # exclusion re-randomizes swarm 0 every step; at the sixth both swarms
+    # have 6 of their 46 evaluations left, so swarm 0 is cut with NaN rows
+    obj = make_moving_peaks(peak_count=3, dim=1, shift_interval=None, seed=0)
+    params = FaParams(pop_size=16, max_fes=46)
+    config = MultiSwarmConfig(2, 8, 0.45, 0.05, sentinel_count=0)
+    swarms = initialize_multiswarm(obj, params, config, 0)
+    sentinels = make_sentinels(obj, 0, 1)
+    for _ in range(5):
+        multiswarm_step(swarms, config, obj, params, sentinels)
+    assert [s.fes_used for s in swarms] == [40, 40] and np.isnan(swarms[0].fitness).all()
+    # the generation alone: the cut swarms keep their rows, the unevaluated ones NaN
+    cut = copy.deepcopy(swarms)
+    core.step_swarms(cut, obj, params)
+    for before, after in zip(swarms, cut):
+        assert after.positions.tobytes() == before.positions.tobytes()
+        assert after.fes_used == 46 and after.t == before.t + 1
+    assert np.isnan(cut[0].fitness[6:]).all() and not np.isnan(cut[0].fitness[:6]).any()
+    multiswarm_step(swarms, config, obj, params, sentinels)
+    assert [s.fes_used for s in swarms] == [46, 46]
+
+
 @pytest.mark.parametrize("loader", ["enabled", "disabled"])
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
