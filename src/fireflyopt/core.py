@@ -324,17 +324,28 @@ def initialize(objective: Objective, params: FaParams, seed) -> SwarmState:
 
 
 def evaluate(state: SwarmState, objective: Objective, params: FaParams) -> SwarmState:
-    """Refresh fitness through checked_rows, spending at most the remaining budget.
+    """Refresh fitness through checked_rows, spending at most the remaining budget: step_swarms's evaluation.
 
     When fewer evaluations remain than fireflies, only the leading rows are
     refreshed and the budget is exhausted, which ends the run.  The best-so-far
     becomes the first minimum of the fresh values if that is strictly lower.
     """
-    n = max(0, min(len(state.fitness), params.max_fes - state.fes_used))
-    return record_values(state, checked_rows(objective, state.positions[:n]))
+    _evaluate_swarms([state], objective, params)
+    return state
 
 
-def record_values(state: SwarmState, values: list[float]) -> SwarmState:
+def _evaluate_swarms(states: Sequence[SwarmState], objective: Objective, params: FaParams) -> np.ndarray:
+    """evaluate on swarms in one checked_rows call (none written if it raises); returns their stacked positions."""
+    takes = [max(0, min(len(s.fitness), params.max_fes - s.fes_used)) for s in states]
+    pos = states[0].positions if len(states) == 1 else np.concatenate([s.positions for s in states])
+    rows = pos if sum(takes) == len(pos) else np.concatenate([s.positions[:n] for s, n in zip(states, takes)])
+    values = checked_rows(objective, rows)
+    for s, n, start in zip(states, takes, accumulate(takes, initial=0)):
+        record_values(s, values[start:start + n])
+    return pos
+
+
+def record_values(state: SwarmState, values: list[float]) -> None:
     """Store fresh values as the fitness of the leading rows and charge them to the budget.
 
     The best-so-far becomes the first minimum of the values if that is
@@ -347,17 +358,29 @@ def record_values(state: SwarmState, values: list[float]) -> SwarmState:
         if state.best is None or values[i] < state.best.fitness:
             state.best = Firefly(state.positions[i].copy(), values[i])
     state.fes_used += n
-    return state
 
 
 def order(state: SwarmState) -> SwarmState:
-    """Sort ascending by fitness into new arrays; ties keep their relative order."""
+    """Sort ascending by fitness into new arrays, ties in their relative order: step_swarms's sort."""
     if np.isnan(state.fitness).any():
         raise ValueError("cannot order an unevaluated population")
-    rank = np.argsort(state.fitness, kind="stable")
-    state.positions = state.positions[rank]
-    state.fitness = state.fitness[rank]
+    _order_swarms([state], state.positions)
     return state
+
+
+def _order_swarms(states: Sequence[SwarmState], pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """order on S swarms of one size, stacked in pos, by one stable argsort; returns the sorted stacked arrays."""
+    if len(states) == 1:
+        rank = np.argsort(states[0].fitness, kind="stable")
+        states[0].positions, states[0].fitness = pos[rank], states[0].fitness[rank]
+        return states[0].positions[None], states[0].fitness[None]
+    pop = len(states[0].fitness)
+    fit = np.concatenate([s.fitness for s in states]).reshape(-1, pop)
+    rank = (np.argsort(fit, axis=1, kind="stable") + np.arange(0, fit.size, pop)[:, None]).ravel()
+    pos, fit = pos[rank].reshape(len(states), pop, -1), fit.ravel()[rank].reshape(-1, pop)
+    for s, p, f in zip(states, pos, fit):
+        s.positions, s.fitness = p, f
+    return pos, fit
 
 
 def find_best(state: SwarmState) -> Firefly:
@@ -794,75 +817,51 @@ def _load_native_sweep() -> tuple[Optional[Callable], str]:
     return kernel, ""
 
 
-def step(
-    state: SwarmState,
-    objective: Objective,
-    params: FaParams,
-    sweep: Optional[Callable] = None,
-) -> SwarmState:
-    """One generation: schedule alpha, evaluate and track best, sort, move.
-
-    evaluate reconciles the best-so-far with each value it computes.  Once
-    the budget is exhausted the population keeps its row order and does
-    not move (a move could never be evaluated), so a pass cut short by the
-    budget, which may leave unevaluated (NaN) rows, is never sorted.  A
-    custom sweep replaces the pairwise attraction while keeping the rest of
-    the generation structure.
-    """
+def step(state: SwarmState, objective: Objective, params: FaParams, sweep: Optional[Callable] = None) -> SwarmState:
+    """One generation of one swarm with budget left: step_swarms on [state], with pairwise_sweep by default."""
     if state.fes_used >= params.max_fes:
         raise ValueError("evaluation budget already exhausted")
-    alpha_t = alpha_at(params.alpha_schedule, state.t)
-    evaluate(state, objective, params)
-    if state.fes_used < params.max_fes:
-        order(state)
-        if sweep is None:
-            pairwise_sweep(state, objective, params, alpha_t)
-        else:
-            sweep(state, objective, params, alpha_t)
-    state.t += 1
+    # pairwise_sweep is looked up here, at call time, so a replaced module
+    # global (perfbench/probe.py's tracing wrapper) sees every default sweep
+    step_swarms([state], objective, params, sweep or pairwise_sweep)
     return state
 
 
-def step_swarms(states: Sequence[SwarmState], objective: Objective, params: FaParams) -> None:
-    """One generation of every swarm with budget left, all at once: step on each in turn, bit for bit.
+def step_swarms(states: Sequence[SwarmState], objective: Objective, params: FaParams,
+                sweep: Optional[Callable] = None) -> None:
+    """One generation of every swarm with budget left: schedule alpha, evaluate and track best, sort, move.
 
-    The swarms must be of one size.  Their rows go to one checked_rows
-    call, each swarm's rows cut to its own remaining budget, in swarm
-    order, which is the order step would evaluate them in (a sweep never
-    evaluates).  record_values writes each swarm's values back.  A swarm
-    whose budget this pass used up keeps its row order and does not move,
-    as in step: only it can hold unevaluated (NaN) rows, from a cut pass.
-    One stable argsort orders the (S, n) fitness of the others, and they
-    move in one sweep_blocks call.  If the objective raises, no swarm has
-    been written back.
+    Swarms of other than one size raise ValueError before any evaluation.
+    Each swarm's alpha_at comes first, then one checked_rows call on every
+    swarm's rows, each cut to its own remaining budget.  A swarm that this
+    pass left without budget keeps its row order (NaN rows and all) and
+    does not move.  One stable argsort orders the others, which move in one
+    sweep_blocks call, or by sweep(state, objective, params, alpha_t) on each
+    in swarm order, after every swarm's pass.  If the objective raises, no
+    swarm has been written back.
     """
-    active = [s for s in states if s.fes_used < params.max_fes]
+    active, alphas = [], []
+    for s in states:
+        if len(s.fitness) != len(states[0].fitness):
+            raise ValueError(f"step_swarms needs swarms of one size, got sizes {[len(s.fitness) for s in states]}")
+        if s.fes_used < params.max_fes:
+            active.append(s)
+            alphas.append(alpha_at(params.alpha_schedule, s.t))
     if not active:
         return
-    pop, dim = len(active[0].fitness), objective.dim
-    takes = [min(pop, params.max_fes - s.fes_used) for s in active]
-    pos = np.concatenate([s.positions for s in active])
-    rows = pos if sum(takes) == len(pos) else np.concatenate([s.positions[:n] for s, n in zip(active, takes)])
-    values = checked_rows(objective, rows)
-    start = 0
-    for s, n in zip(active, takes):
-        record_values(s, values[start:start + n])
-        start += n
-    moving = [s for s in active if s.fes_used < params.max_fes]
-    if moving:
-        if len(moving) < len(active):
-            pos = np.concatenate([s.positions for s in moving])
-        fit = np.concatenate([s.fitness for s in moving]).reshape(-1, pop)
-        # each swarm's ranks, offset to its rows of the stacked (S * n) arrays
-        rank = np.argsort(fit, axis=1, kind="stable")
-        rank += np.arange(0, rank.size, pop)[:, None]
-        rank = rank.ravel()
-        fit = fit.ravel()[rank].reshape(-1, pop)
-        pos = pos.reshape(-1, dim)[rank].reshape(-1, pop, dim)
-        alphas = [alpha_at(params.alpha_schedule, s.t) for s in moving]
-        pos = sweep_blocks(pos, fit, [s.rng for s in moving], objective, params, alphas)
-        for s, p, f in zip(moving, pos, fit):
-            s.positions, s.fitness = p, f
+    pos = _evaluate_swarms(active, objective, params)
+    swarms = [s for s in active if s.fes_used < params.max_fes]
+    if swarms:
+        if len(swarms) < len(active):
+            alphas = [a for s, a in zip(active, alphas) if s.fes_used < params.max_fes]
+            pos = np.concatenate([s.positions for s in swarms])
+        pos, fit = _order_swarms(swarms, pos)
+        if sweep is None:
+            for s, p in zip(swarms, sweep_blocks(pos, fit, [s.rng for s in swarms], objective, params, alphas)):
+                s.positions = p
+        else:
+            for s, alpha_t in zip(swarms, alphas):
+                sweep(s, objective, params, alpha_t)
     for s in active:
         s.t += 1
 

@@ -271,15 +271,15 @@ def multiswarm_step(
     cached fitness is invalidated, the whole population re-evaluated, each
     swarm's best rebuilt from the fresh values, and the sentinel references
     re-baselined, so the rest of the generation works on valid data.  Every
-    swarm with budget left then performs one base-algorithm step, all of
-    them together in core.step_swarms: one evaluation call, one argsort and
-    one sweep for every swarm, bit for bit what core.step on each swarm in
-    turn gives.  Exclusion re-randomizes the worse of two swarms whose
-    bests fall within exclusion_radius of each other; anti-convergence
-    re-randomizes the globally worst swarm once every swarm has collapsed
-    below the anticonvergence_radius diameter.  Swarms must be of equal
-    size, as initialize_multiswarm makes them: the step and all diameters
-    work on the swarms' stacked positions.
+    swarm with budget left then runs the generation that core.step runs on
+    one swarm, all of them in one core.step_swarms call (one evaluation
+    call, one argsort, one sweep).  Exclusion re-randomizes the worse of
+    two swarms whose bests fall within exclusion_radius of each other;
+    anti-convergence re-randomizes the globally worst swarm once every
+    swarm has collapsed below the anticonvergence_radius diameter.  Swarms
+    must be of equal size, as initialize_multiswarm makes them (step_swarms
+    raises ValueError otherwise): the step and all diameters work on the
+    swarms' stacked positions.
     """
     streams = [swarm.rng.bit_generator.state for swarm in swarms]
     for i in range(len(swarms)):

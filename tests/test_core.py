@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import step_oracle
 from sweep_oracle import sweep_scalar
 
 from fireflyopt import core
@@ -683,9 +684,9 @@ def _pull_sweep(state, objective, params, alpha_t):
 @pytest.mark.parametrize("move", [pairwise_sweep, _elitist_sweep, _pull_sweep])
 @pytest.mark.parametrize("name, dim", [("rastrigin", 3), ("sphere", 2)])
 def test_step_leaves_find_best_nothing_to_reconcile(move, name, dim):
-    # step does not call find_best: evaluate reconciles each value it
-    # computes, so find_best never replaces the best, before the move or
-    # after the partial final pass
+    # step does not call find_best: the evaluation of step_swarms
+    # (record_values) reconciles each value it computes, so find_best never
+    # replaces the best, before the move or after the partial final pass
     obj = lookup(name, dim)
     params = FaParams(pop_size=7, max_fes=7 * 40 + 4, elitism=move is _elitist_sweep)
 
@@ -786,6 +787,49 @@ def test_bounds_closure_under_large_noise():
         step(state, obj, params)
         for fly in state.fireflies:
             assert np.all(fly.position >= obj.lower) and np.all(fly.position <= obj.upper)
+
+
+def _levy_sweep(state, objective, params, alpha_t):
+    pairwise_sweep(state, objective, params, alpha_t, eps_fn=lambda rng, n: levy_step(rng, n, 1.5))
+
+
+STEP_HOOKS = {"default": None, "elitist": _elitist_sweep, "levy": _levy_sweep, "pull": global_best_pull_step}
+
+
+def _step_bytes(state):
+    best = None if state.best is None else (state.best.position.tobytes(), state.best.fitness)
+    return (state.positions.shape, state.positions.tobytes(), state.fitness.tobytes(), best, state.fes_used,
+            state.t, state.rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("loader", ["enabled", "disabled"])
+@pytest.mark.parametrize("hook", sorted(STEP_HOOKS))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    pop=st.integers(1, 12),
+    dim=st.integers(1, 6),
+    scheme=st.sampled_from(["asynchronous", "synchronous"]),
+    elitism=st.booleans(),
+    passes=st.integers(1, 6),
+    extra=st.integers(0, 11),
+    name=st.sampled_from(["sphere", "rastrigin", "ackley"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_matches_the_step_oracle(loader, hook, pop, dim, scheme, elitism, passes, extra, name, seed):
+    # extra % pop > 0 ends the budget mid-pass (the elitist probes cut passes too)
+    obj = lookup(name, dim)
+    params = FaParams(pop_size=pop, max_fes=pop * passes + extra % pop, update_scheme=scheme, elitism=elitism)
+    sweep = STEP_HOOKS[hook]
+    pinned = mock.patch.object(core, "_load_native_sweep", _no_native)
+    with pinned if loader == "disabled" else contextlib.nullcontext():
+        state, oracle = initialize(obj, params, seed), initialize(obj, params, seed)
+        while oracle.fes_used < params.max_fes:
+            step_oracle.step(oracle, obj, params, sweep)
+            step(state, obj, params, sweep)
+            assert _step_bytes(state) == _step_bytes(oracle)
+        with pytest.raises(ValueError, match="evaluation budget already exhausted"):
+            step(state, obj, params, sweep)
+    assert _step_bytes(state) == _step_bytes(oracle)
 
 
 # ------------------------------------------------------------ sweep paths

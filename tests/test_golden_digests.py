@@ -66,6 +66,12 @@ CONFIGS = {
     + "update_scheme: synchronous\n",
     "sphere_elitist_synchronous": SMALL.format(benchmark="sphere", variant="elitist")
     + "update_scheme: synchronous\n",
+    # 605 evaluations: 60 passes of 10, then a last pass cut to 5 rows that
+    # is neither sorted nor moved
+    **{
+        f"sphere_{variant}_cut": SMALL.format(benchmark="sphere", variant=variant).replace("600", "605")
+        for variant in ("base", "gaussian_pull")
+    },
     "four_peaks_base": SMALL.format(benchmark="four_peaks", variant="base"),
     "rastrigin_base_d3": SMALL.format(benchmark="rastrigin", variant="base").replace("dim: 2", "dim: 3"),
     # 400 cells: these pin the C loop, and the plain Python loop at that size

@@ -565,6 +565,26 @@ def test_multiswarm_step_leaves_a_cut_rerandomized_swarm_unsorted():
     assert [s.fes_used for s in swarms] == [46, 46]
 
 
+@pytest.mark.parametrize("sizes", [(2, 4), (4, 2), (3, 3, 2)])
+def test_step_swarms_rejects_swarms_of_unequal_size_before_evaluating(sizes):
+    calls = []
+    sphere = lookup("sphere", 2)
+    obj = dataclasses.replace(sphere, eval=lambda x: calls.append(1) or sphere.eval(x), known_optimum=None)
+    params = FaParams(pop_size=max(sizes), max_fes=100)
+    swarms = [evaluate(initialize(obj, dataclasses.replace(params, pop_size=n), k), obj, params)
+              for k, n in enumerate(sizes)]
+    calls.clear()
+
+    def snapshot():
+        return [(s.positions.tobytes(), s.fitness.tobytes(), s.fes_used, s.t, s.rng.bit_generator.state)
+                for s in swarms]
+
+    before = snapshot()
+    with pytest.raises(ValueError, match=rf"one size, got sizes \[{', '.join(map(str, sizes))}\]"):
+        core.step_swarms(swarms, obj, params)
+    assert snapshot() == before and calls == []
+
+
 @pytest.mark.parametrize("loader", ["enabled", "disabled"])
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
