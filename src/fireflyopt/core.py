@@ -324,40 +324,41 @@ def initialize(objective: Objective, params: FaParams, seed) -> SwarmState:
 
 
 def evaluate(state: SwarmState, objective: Objective, params: FaParams) -> SwarmState:
-    """Refresh fitness through checked_rows, spending at most the remaining budget: step_swarms's evaluation.
+    """Refresh fitness by _evaluate_swarms, on the rows the remaining budget pays for (_rows_left).
 
     When fewer evaluations remain than fireflies, only the leading rows are
     refreshed and the budget is exhausted, which ends the run.  The best-so-far
     becomes the first minimum of the fresh values if that is strictly lower.
     """
-    _evaluate_swarms([state], objective, params)
+    _evaluate_swarms([state], objective, [_rows_left(state, params)])
     return state
 
 
-def _evaluate_swarms(states: Sequence[SwarmState], objective: Objective, params: FaParams) -> np.ndarray:
-    """evaluate on swarms in one checked_rows call (none written if it raises); returns their stacked positions."""
-    takes = [max(0, min(len(s.fitness), params.max_fes - s.fes_used)) for s in states]
+def _rows_left(state: SwarmState, params: FaParams) -> int:
+    """The leading rows of state that its remaining budget pays for: the cut of evaluate and step_swarms."""
+    return max(0, min(len(state.fitness), params.max_fes - state.fes_used))
+
+
+def _evaluate_swarms(states: Sequence[SwarmState], objective: Objective, takes: Sequence[int]) -> np.ndarray:
+    """The one evaluation of swarm rows: the leading takes[k] rows of swarm k, in one checked_rows call.
+
+    It reads no budget.  Swarm k's values become its leading fitness, charged
+    to its fes_used, and its best becomes their first minimum if strictly
+    lower (or if it has none).  If the objective raises, no swarm is written.
+    Returns the swarms' stacked positions, every row.
+    """
     pos = states[0].positions if len(states) == 1 else np.concatenate([s.positions for s in states])
     rows = pos if sum(takes) == len(pos) else np.concatenate([s.positions[:n] for s, n in zip(states, takes)])
     values = checked_rows(objective, rows)
     for s, n, start in zip(states, takes, accumulate(takes, initial=0)):
-        record_values(s, values[start:start + n])
+        fresh = values[start:start + n]
+        s.fitness[:n] = fresh
+        if fresh:
+            i = fresh.index(min(fresh))
+            if s.best is None or fresh[i] < s.best.fitness:
+                s.best = Firefly(s.positions[i].copy(), fresh[i])
+        s.fes_used += n
     return pos
-
-
-def record_values(state: SwarmState, values: list[float]) -> None:
-    """Store fresh values as the fitness of the leading rows and charge them to the budget.
-
-    The best-so-far becomes the first minimum of the values if that is
-    strictly lower (or if there is none yet).
-    """
-    n = len(values)
-    state.fitness[:n] = values
-    if values:
-        i = values.index(min(values))
-        if state.best is None or values[i] < state.best.fitness:
-            state.best = Firefly(state.positions[i].copy(), values[i])
-    state.fes_used += n
 
 
 def order(state: SwarmState) -> SwarmState:
@@ -832,8 +833,8 @@ def step_swarms(states: Sequence[SwarmState], objective: Objective, params: FaPa
     """One generation of every swarm with budget left: schedule alpha, evaluate and track best, sort, move.
 
     Swarms of other than one size raise ValueError before any evaluation.
-    Each swarm's alpha_at comes first, then one checked_rows call on every
-    swarm's rows, each cut to its own remaining budget.  A swarm that this
+    Each swarm's alpha_at comes first, then one _evaluate_swarms call on
+    every swarm's rows, each cut to its own remaining budget.  A swarm that this
     pass left without budget keeps its row order (NaN rows and all) and
     does not move.  One stable argsort orders the others, which move in one
     sweep_blocks call, or by sweep(state, objective, params, alpha_t) on each
@@ -849,7 +850,7 @@ def step_swarms(states: Sequence[SwarmState], objective: Objective, params: FaPa
             alphas.append(alpha_at(params.alpha_schedule, s.t))
     if not active:
         return
-    pos = _evaluate_swarms(active, objective, params)
+    pos = _evaluate_swarms(active, objective, [_rows_left(s, params) for s in active])
     swarms = [s for s in active if s.fes_used < params.max_fes]
     if swarms:
         if len(swarms) < len(active):

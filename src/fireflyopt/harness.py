@@ -274,7 +274,19 @@ def run_multiswarm(
     generation's worth of evaluations.  Returns the report plus the
     interaction event log (exclusions, anti-convergence resets, detected
     landscape changes), each tagged with its generation.
+
+    Sentinel probe k is charged to swarm k mod num_swarms, so each swarm
+    pays at least sentinel_count // num_swarms probes a generation.  When
+    that reaches max_fes, no swarm would evaluate a row, and ValueError is
+    raised before any evaluation.
     """
+    probes = config.sentinel_count // config.num_swarms
+    if probes >= params.max_fes:
+        raise ValueError(
+            f"sentinel_count ({config.sentinel_count}) charges each of the num_swarms ({config.num_swarms}) "
+            f"swarms at least {probes} probes a generation, which use up max_fes ({params.max_fes}) before any swarm "
+            "evaluates a row"
+        )
     swarms = initialize_multiswarm(objective, params, config, seed)
     sentinels = make_sentinels(objective, config.sentinel_count, np.random.SeedSequence(seed, spawn_key=(3,)))
     events: list[dict] = []

@@ -20,11 +20,11 @@ from .core import (
     Firefly,
     Objective,
     SwarmState,
+    _evaluate_swarms,
     checked_rows,
     initialize,
     pull_rows,
     random_positions,
-    record_values,
     step,  # not called here, but perfbench/probe.py patches variants.step
     step_swarms,
 )
@@ -267,9 +267,9 @@ def multiswarm_step(
     The sentinel phase runs first: the fixed sentinel positions are
     re-evaluated, and a drift beyond CHANGE_TOLERANCE from their cached
     values flags a landscape change (a cached reference always predates
-    the change, so an improving shift is caught too).  On detection every
-    cached fitness is invalidated, the whole population re-evaluated, each
-    swarm's best rebuilt from the fresh values, and the sentinel references
+    the change, so an improving shift is caught too).  On detection all
+    rows are re-evaluated (core._evaluate_swarms, not cut to the budget),
+    each swarm's best rebuilt from them alone, and the sentinel references
     re-baselined, so the rest of the generation works on valid data.  Every
     swarm with budget left then runs the generation that core.step runs on
     one swarm, all of them in one core.step_swarms call (one evaluation
@@ -279,24 +279,22 @@ def multiswarm_step(
     swarm has collapsed below the anticonvergence_radius diameter.  Swarms
     must be of equal size, as initialize_multiswarm makes them (step_swarms
     raises ValueError otherwise): the step and all diameters work on the
-    swarms' stacked positions.
+    swarms' stacked positions.  Two swarms whose generators share a seed
+    sequence (entropy and spawn key, as one pool) raise ValueError first.
     """
-    streams = [swarm.rng.bit_generator.state for swarm in swarms]
+    seeds = [swarm.rng.bit_generator.seed_seq.pool.tobytes() for swarm in swarms]
     for i in range(len(swarms)):
         for j in range(i + 1, len(swarms)):
-            if streams[i] == streams[j]:
+            if seeds[i] == seeds[j]:
                 raise ValueError(f"swarms {i} and {j} share an identical random stream")
 
     fresh = _probe_sentinels(sentinels, swarms, objective)
     if sentinels.values is None:
         sentinels.values = fresh
     elif np.any(np.abs(fresh - sentinels.values) > CHANGE_TOLERANCE):
-        values = checked_rows(objective, np.concatenate([swarm.positions for swarm in swarms]))
-        start = 0
         for swarm in swarms:
             swarm.best = None
-            record_values(swarm, values[start:start + len(swarm.fitness)])
-            start += len(swarm.fitness)
+        _evaluate_swarms(swarms, objective, [len(swarm.fitness) for swarm in swarms])
         # re-baseline the probes after the invalidation pass, so the
         # references are wholly post-change even when the shift landed
         # mid-way through the probe loop above

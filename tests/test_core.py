@@ -685,7 +685,7 @@ def _pull_sweep(state, objective, params, alpha_t):
 @pytest.mark.parametrize("name, dim", [("rastrigin", 3), ("sphere", 2)])
 def test_step_leaves_find_best_nothing_to_reconcile(move, name, dim):
     # step does not call find_best: the evaluation of step_swarms
-    # (record_values) reconciles each value it computes, so find_best never
+    # (_evaluate_swarms) reconciles each value it computes, so find_best never
     # replaces the best, before the move or after the partial final pass
     obj = lookup(name, dim)
     params = FaParams(pop_size=7, max_fes=7 * 40 + 4, elitism=move is _elitist_sweep)

@@ -699,6 +699,19 @@ def test_cli_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_sentinels_that_use_up_the_budget(tmp_path, capsys):
+    # 4 probes over 2 swarms charge each swarm 2, all of max_fes: no swarm could evaluate a row
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("benchmark: moving_peaks\nvariant: multiswarm\nrepetitions: 1\nbase_seed: 0\ndim: 2\n"
+                   "pop_size: 2\nnum_swarms: 2\nsentinel_count: 4\nmax_fes: 2\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: sentinel_count (4) charges each of the num_swarms (2) swarms at least 2 probes a "
+                            "generation, which use up max_fes (2) before any swarm evaluates a row\n")
+    assert captured.out == "" and not out_dir.exists()
+
+
 def test_cli_compare(tmp_path, capsys):
     a = tmp_path / "a.yaml"
     b = tmp_path / "b.yaml"

@@ -706,6 +706,57 @@ def test_sentinel_probes_are_charged_round_robin():
     assert obj.change_hook.evals == 5 + 6
 
 
+def test_multiswarm_change_pass_is_not_cut_to_the_budget():
+    # generation 0: 3 probes and 8 rows take the swarm to 11 of 12; the
+    # shift after evaluation 2 is seen at generation 1, whose probes take
+    # it to 14, past the budget, and the change pass still re-evaluates
+    # all 8 rows before the 3 re-baseline probes
+    obj = make_moving_peaks(peak_count=3, dim=2, shift_interval=2, seed=0)
+    report, events = run_multiswarm(obj, FaParams(pop_size=8, max_fes=12), MultiSwarmConfig(1, 8, 0.3, 0.05, 3), 0)
+    assert [row[:2] for row in report.trace] == [(0, 11), (1, 25)]
+    assert events == [{"event": "change", "generation": 1}]
+    assert obj.change_hook.evals == report.fes_total == 3 + 8 + 3 + 8 + 3
+    assert report.final_best.fitness == report.trace[-1][2]
+
+
+@pytest.mark.parametrize("num_swarms", [1, 2, 3])
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_run_multiswarm_rejects_sentinels_that_use_up_the_budget(num_swarms, extra):
+    # probe k is charged to swarm k mod num_swarms, so every swarm pays at
+    # least sentinel_count // num_swarms probes before it evaluates a row:
+    # from num_swarms * max_fes sentinels on, no swarm ever would
+    params = FaParams(pop_size=num_swarms, max_fes=num_swarms + extra)
+    boundary = num_swarms * params.max_fes
+    for sentinel_count in range(boundary + 3):
+        obj = make_moving_peaks(peak_count=3, dim=2, shift_interval=2, seed=0)
+        config = MultiSwarmConfig(num_swarms, 1, 0.3, 0.05, sentinel_count)
+        if sentinel_count < boundary:
+            report, _ = run_multiswarm(obj, params, config, 0)
+            assert report.fes_total >= params.max_fes
+            continue
+        message = (rf"^sentinel_count \({sentinel_count}\) .* num_swarms \({num_swarms}\) .*"
+                   rf"max_fes \({params.max_fes}\) before any swarm evaluates a row$")
+        with pytest.raises(ValueError, match=message):
+            run_multiswarm(obj, params, config, 0)
+        assert obj.change_hook.evals == 0
+
+
+def test_multiswarm_step_rejects_swarms_sharing_one_generator():
+    calls = []
+    sphere = lookup("sphere", 2)
+    obj = dataclasses.replace(sphere, eval=lambda x: calls.append(1) or sphere.eval(x), known_optimum=None)
+    params = FaParams(pop_size=6, max_fes=1000)
+    config = MultiSwarmConfig(num_swarms=3, swarm_size=2, exclusion_radius=0.1, anticonvergence_radius=0.05)
+    swarms = initialize_multiswarm(obj, params, config, 4)
+    multiswarm_step(swarms, config, obj, params, sentinels=make_sentinels(obj, 1, 9))
+    assert calls
+    calls.clear()
+    swarms[2].rng = swarms[0].rng
+    with pytest.raises(ValueError, match=r"^swarms 0 and 2 share an identical random stream$"):
+        multiswarm_step(swarms, config, obj, params, sentinels=make_sentinels(obj, 1, 9))
+    assert calls == []
+
+
 def test_multiswarm_bests_separated_after_step():
     obj = lookup("griewank", 2)
     params = FaParams(pop_size=8, max_fes=100_000)
