@@ -30,10 +30,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .randomization import ScheduleDescriptor, alpha_at, gaussian_step, uniform_centered_step
+from .randomization import ScheduleDescriptor, alpha_at, gaussian_step, levy_step, uniform_centered_step
 
-# epsilon_kind -> random-step source (signature: rng, n -> vector)
-_EPSILON_STEPS = {"gaussian": gaussian_step, "uniform_centered": uniform_centered_step}
+# epsilon_kind -> random-step source (signature: rng, n, params -> vector of n values)
+_EPSILON_STEPS = {
+    "gaussian": lambda rng, n, params: gaussian_step(rng, n),
+    "uniform_centered": lambda rng, n, params: uniform_centered_step(rng, n),
+    "levy": lambda rng, n, params: levy_step(rng, n, params.levy_lambda),
+}
 EPSILON_KINDS = tuple(_EPSILON_STEPS)
 UPDATE_SCHEMES = ("asynchronous", "synchronous")
 
@@ -67,6 +71,9 @@ class FaParams:
     When an explicit alpha_schedule is supplied, its alpha0 governs the
     run; otherwise a geometric decay schedule with ScheduleDescriptor's
     default ratio is built from alpha.
+
+    levy_lambda is the tail exponent of the "levy" steps (levy_step), in
+    (1, 3); the other epsilon kinds ignore it.
     """
 
     alpha: float = 0.2
@@ -78,6 +85,7 @@ class FaParams:
     update_scheme: str = "asynchronous"
     alpha_schedule: Optional[ScheduleDescriptor] = None
     elitism: bool = False
+    levy_lambda: float = 1.5
 
     def __post_init__(self):
         for name in ("alpha", "beta0", "gamma"):
@@ -92,6 +100,8 @@ class FaParams:
             )
         if self.epsilon_kind not in EPSILON_KINDS:
             raise ValueError(f"unknown epsilon_kind {self.epsilon_kind!r}; expected one of {EPSILON_KINDS}")
+        if not 1.0 < self.levy_lambda < 3.0:
+            raise ValueError(f"levy_lambda must lie in (1, 3), got {self.levy_lambda}")
         if self.update_scheme not in UPDATE_SCHEMES:
             raise ValueError(f"unknown update_scheme {self.update_scheme!r}; expected one of {UPDATE_SCHEMES}")
         if self.alpha_schedule is None:
@@ -201,18 +211,11 @@ def distance(si: Sequence[float], sj: Sequence[float]) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _draw_eps_rows(rng, rows, dim, kind, eps_fn) -> np.ndarray:
-    """(rows, dim) random steps from eps_fn or the epsilon_kind source, in one draw.
-
-    A source that returns other than rows * dim values raises ValueError.
-    """
+def _draw_eps_rows(rng, rows, dim, params) -> np.ndarray:
+    """(rows, dim) random steps from the params.epsilon_kind source, in one draw."""
     if rows == 0:
         return np.empty((0, dim))
-    draw = _EPSILON_STEPS[kind] if eps_fn is None else eps_fn
-    values = np.asarray(draw(rng, rows * dim), dtype=float)
-    if values.size != rows * dim:
-        raise ValueError(f"the random-step source returned {values.size} values, not the {rows * dim} asked for")
-    return values.reshape(rows, dim)
+    return _EPSILON_STEPS[params.epsilon_kind](rng, rows * dim, params).reshape(rows, dim)
 
 
 # Row twins as (scalar function, twin) pairs, registered by benchmarks.py:
@@ -303,7 +306,7 @@ def move_firefly(
     if si.position.shape != sj.position.shape:
         raise ValueError(f"dimension mismatch: {si.position.shape} vs {sj.position.shape}")
     w = np.asarray(domain_width, dtype=float)
-    eps = _draw_eps_rows(rng, 1, si.position.size, params.epsilon_kind, None)
+    eps = _draw_eps_rows(rng, 1, si.position.size, params)
     return pull_rows(si.position[None, :], sj.position, params, params.alpha, eps, w)[0]
 
 
@@ -400,7 +403,6 @@ def pairwise_sweep(
     objective: Objective,
     params: FaParams,
     alpha_t: float,
-    eps_fn: Optional[Callable] = None,
 ) -> None:
     """Movement phase over an evaluated, sorted population.
 
@@ -413,12 +415,11 @@ def pairwise_sweep(
     A firefly with no brighter peer takes a plain alpha-scaled random step,
     unless elitism is on, in which case it holds position.
 
-    eps_fn overrides the random-step source (signature: rng, n -> vector of
-    n values); by default steps follow params.epsilon_kind.  The default
-    sources are drawn in pieces of at most _PIECE_DOUBLES values (more only
-    for one firefly's rows), which gives one draw's values and stream state;
-    eps_fn is called once for the whole sweep, since a custom source need
-    not split that way.
+    Steps follow params.epsilon_kind, drawn in pieces of at most
+    _PIECE_DOUBLES values (more only for one firefly's rows).  For the
+    elementwise kinds, gaussian and uniform_centered, that gives one draw's
+    values and stream state; a levy sweep of more than one piece draws
+    Mantegna's u and v per piece.
 
     The fitness must be sorted ascending with no NaN (order does this) and
     positions must have shape (len(fitness), objective.dim); otherwise a
@@ -426,7 +427,7 @@ def pairwise_sweep(
 
     This is sweep_blocks on one block: one swarm, one stream, one alpha_t.
     """
-    moved = sweep_blocks(state.positions[None], state.fitness[None], [state.rng], objective, params, (alpha_t,), eps_fn)
+    moved = sweep_blocks(state.positions[None], state.fitness[None], [state.rng], objective, params, (alpha_t,))
     state.positions = moved[0]
 
 
@@ -437,7 +438,6 @@ def sweep_blocks(
     objective: Objective,
     params: FaParams,
     alphas: Sequence[float],
-    eps_fn: Optional[Callable] = None,
 ) -> np.ndarray:
     """pairwise_sweep on S independent blocks at once; returns the (S, n, d) moved positions.
 
@@ -455,8 +455,7 @@ def sweep_blocks(
     loop on plain Python floats.  The steps go to the kernel as the pieces
     of _step_pieces: one piece drawn up front when they fit in
     _PIECE_DOUBLES, else pieces drawn as the kernel reaches them, so a
-    sweep holds one piece of steps at a time (eps_fn: one block's whole
-    draw).
+    sweep holds one piece of steps at a time.
     """
     blocks, pop = fitness.shape
     # a NaN fails every comparison, so with two or more fireflies the order check finds it too
@@ -472,7 +471,7 @@ def sweep_blocks(
     # once sorted, a firefly's strictly brighter peers are the prefix before its tie group
     counts = [f.searchsorted(f, side="left") for f in fitness]
     counts = counts[0][None] if blocks == 1 else np.concatenate(counts).reshape(blocks, pop)
-    pieces = _step_pieces(counts, params.elitism, rngs, dim, params.epsilon_kind, eps_fn)
+    pieces = _step_pieces(counts, rngs, dim, params)
     kernel = _load_native_sweep()[0] or _sweep_python
     synchronous = params.update_scheme == "synchronous"
     return kernel(pos, counts, pieces, objective.lower, objective.upper, alphas, params.beta0, -params.gamma,
@@ -490,54 +489,45 @@ def sweep_blocks(
 _PIECE_DOUBLES = 8192
 
 
-def _step_pieces(counts, elitism, rngs, dim, kind, eps_fn):
+def _step_pieces(counts, rngs, dim, params):
     """The sweep's steps as (start, stop, eps) pieces, in row order.
 
     start and stop are stacked firefly rows (block b, firefly i is row
     b * n + i), and eps holds, in draw order, the (rows, d) steps of those
     fireflies: one per brighter peer, one per walker (a firefly with no
     brighter peer) unless elitism holds it.  A sweep whose steps fit in
-    _PIECE_DOUBLES is one piece, drawn here, block by block, as one list;
+    _PIECE_DOUBLES is one piece, drawn here, each block in one call;
     a larger one comes as _drawn_pieces, a generator that draws each
     piece when the kernel takes it.
     """
     blocks, pop = counts.shape
-    walker = 0 if elitism else 1
+    walker = 0 if params.elitism else 1
     rows = [sum(c) + walker * c.count(0) for c in counts.tolist()]
     if sum(rows) * dim <= _PIECE_DOUBLES:
-        draws = [_draw_eps_rows(rng, r, dim, kind, eps_fn) for rng, r in zip(rngs, rows)]
+        draws = [_draw_eps_rows(rng, r, dim, params) for rng, r in zip(rngs, rows)]
         return [(0, blocks * pop, draws[0] if blocks == 1 else np.concatenate(draws))] if pop else []
-    return _drawn_pieces([c or walker for c in counts.ravel().tolist()], pop, rngs, dim, kind, eps_fn)
+    return _drawn_pieces([c or walker for c in counts.ravel().tolist()], pop, rngs, dim, params)
 
 
-def _drawn_pieces(need, pop, rngs, dim, kind, eps_fn):
+def _drawn_pieces(need, pop, rngs, dim, params):
     """The pieces of a sweep whose steps pass _PIECE_DOUBLES, each drawn as it is taken.
 
     need[r] is the rows of stacked firefly r.  A piece is the longest run
-    of fireflies from where the last one stopped whose rows fit in
-    _PIECE_DOUBLES, or one firefly whose rows alone do not.  The pieces
-    cross block boundaries freely, and block b's rows come from rngs[b], in
-    row order.  The epsilon_kind sources draw each block's rows of a piece
-    as they come, which gives one draw's values and stream state; eps_fn
-    draws a block whole at the block's first piece, and its pieces are
-    slices of that draw.  Either way every stream sees the calls of one
-    draw per block, in block order.
+    of fireflies from where the last one stopped, within its block, whose
+    rows fit in _PIECE_DOUBLES, or one firefly whose rows alone do not.
+    Each piece is one call of block b's source on rngs[b], so a block is
+    cut where its own sweep cuts it, and every stream sees the calls of its
+    blocks' own sweeps, in block order.  The cut matters for levy steps,
+    which are not elementwise (Mantegna draws all of u, then all of v): a
+    piece that crossed a block would cut a block's draw where its own
+    sweep does not.
     """
     ends = list(accumulate(need, initial=0))  # ends[r]: the step rows of fireflies before r
     limit = _PIECE_DOUBLES // dim
     start = 0
     while start < len(need):
-        stop = max(bisect_right(ends, ends[start] + limit) - 1, start + 1)
-        parts = []
-        for b in range(start // pop, (stop - 1) // pop + 1):
-            first, last = max(start, b * pop), min(stop, (b + 1) * pop)
-            if eps_fn is None:
-                parts.append(_draw_eps_rows(rngs[b], ends[last] - ends[first], dim, kind, None))
-                continue
-            if first == b * pop:
-                whole = _draw_eps_rows(rngs[b], ends[first + pop] - ends[first], dim, kind, eps_fn)
-            parts.append(whole[ends[first] - ends[b * pop]:ends[last] - ends[b * pop]])
-        yield start, stop, parts[0] if len(parts) == 1 else np.concatenate(parts)
+        stop = min(max(bisect_right(ends, ends[start] + limit) - 1, start + 1), (start // pop + 1) * pop)
+        yield start, stop, _draw_eps_rows(rngs[start // pop], ends[stop] - ends[start], dim, params)
         start = stop
 
 

@@ -21,6 +21,9 @@ import yaml
 
 from .benchmarks import benchmark_names, lookup, make_moving_peaks
 from .core import FaParams, Objective, RunReport, pairwise_sweep, run
+# levy_step is not called here: the levy variant draws its steps through
+# core's step table.  It stays a module global because perfbench/probe.py
+# wraps harness.levy_step.
 from .randomization import ScheduleDescriptor, levy_step
 from .variants import (
     MultiSwarmConfig,
@@ -115,6 +118,9 @@ class ExperimentConfig:
             object.__setattr__(self, "alpha_schedule", "geometric")
         if self.elitism is None:
             object.__setattr__(self, "elitism", False)
+        if self.epsilon_kind == "levy":
+            raise ValueError("malformed value for 'epsilon_kind': levy steps are the levy variant's; "
+                             "set variant: levy instead")
         self.params  # validates the run parameters
 
         if self.variant == "multiswarm":
@@ -136,7 +142,8 @@ class ExperimentConfig:
         """The run parameters, alpha schedule included.
 
         FaParams checks its fields before the schedule is built from alpha,
-        so an invalid alpha is named as such.
+        so an invalid alpha is named as such.  The levy variant runs with
+        epsilon_kind "levy"; the summary still echoes the config's key.
         """
         params = FaParams(
             alpha=self.alpha,
@@ -144,9 +151,10 @@ class ExperimentConfig:
             gamma=self.gamma,
             pop_size=self.pop_size,
             max_fes=self.max_fes,
-            epsilon_kind=self.epsilon_kind,
+            epsilon_kind="levy" if self.variant == "levy" else self.epsilon_kind,
             update_scheme=self.update_scheme,
             elitism=self.elitism,
+            levy_lambda=self.levy_lambda,
         )
         schedule = ScheduleDescriptor(
             kind=self.alpha_schedule, alpha0=self.alpha, ratio=self.schedule_ratio, x0=self.schedule_x0
@@ -275,18 +283,9 @@ def run_multiswarm(
     interaction event log (exclusions, anti-convergence resets, detected
     landscape changes), each tagged with its generation.
 
-    Sentinel probe k is charged to swarm k mod num_swarms, so each swarm
-    pays at least sentinel_count // num_swarms probes a generation.  When
-    that reaches max_fes, no swarm would evaluate a row, and ValueError is
-    raised before any evaluation.
+    A layout that initialize_multiswarm rejects (sentinel probes that use
+    up the budget among them) raises ValueError before any evaluation.
     """
-    probes = config.sentinel_count // config.num_swarms
-    if probes >= params.max_fes:
-        raise ValueError(
-            f"sentinel_count ({config.sentinel_count}) charges each of the num_swarms ({config.num_swarms}) "
-            f"swarms at least {probes} probes a generation, which use up max_fes ({params.max_fes}) before any swarm "
-            "evaluates a row"
-        )
     swarms = initialize_multiswarm(objective, params, config, seed)
     sentinels = make_sentinels(objective, config.sentinel_count, np.random.SeedSequence(seed, spawn_key=(3,)))
     events: list[dict] = []
@@ -327,15 +326,6 @@ def _run_elitist(objective: Objective, params: FaParams, config: ExperimentConfi
     return run(objective, params, seed, sweep=elitist_sweep)
 
 
-def _run_levy(objective: Objective, params: FaParams, config: ExperimentConfig, seed: int) -> RunReport:
-    lam = config.levy_lambda
-
-    def levy_sweep(state, objective, params, alpha_t):
-        pairwise_sweep(state, objective, params, alpha_t, eps_fn=lambda rng, n: levy_step(rng, n, lam))
-
-    return run(objective, params, seed, sweep=levy_sweep)
-
-
 def _run_pull(objective: Objective, params: FaParams, config: ExperimentConfig, seed: int) -> RunReport:
     return run(objective, params, seed, sweep=global_best_pull_step)
 
@@ -350,7 +340,7 @@ VARIANTS = {
     "base": (_run_base, None),
     "elitist": (_run_elitist, None),
     "gaussian_pull": (_run_pull, None),
-    "levy": (_run_levy, None),
+    "levy": (_run_base, None),
     "chaotic_alpha": (_run_base, None),
     "multiswarm": (_run_multiswarm, None),
     "sa_like": (_run_base, "sa_like"),

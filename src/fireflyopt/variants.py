@@ -237,11 +237,24 @@ def initialize_multiswarm(
     config: MultiSwarmConfig,
     seed: int,
 ) -> list[SwarmState]:
-    """Independent swarms with provably disjoint random streams."""
+    """Independent swarms with provably disjoint random streams.
+
+    Sentinel probe k is charged to swarm k mod num_swarms, so each swarm
+    pays at least sentinel_count // num_swarms probes a generation.  When
+    that reaches max_fes, no swarm would evaluate a row, and ValueError is
+    raised, as it is for a layout that does not fill pop_size.
+    """
     if config.num_swarms * config.swarm_size != params.pop_size:
         raise ValueError(
             f"num_swarms * swarm_size must equal pop_size "
             f"({config.num_swarms} * {config.swarm_size} != {params.pop_size})"
+        )
+    probes = config.sentinel_count // config.num_swarms
+    if probes >= params.max_fes:
+        raise ValueError(
+            f"sentinel_count ({config.sentinel_count}) charges each of the num_swarms ({config.num_swarms}) "
+            f"swarms at least {probes} probes a generation, which use up max_fes ({params.max_fes}) before any swarm "
+            "evaluates a row"
         )
     half_diag = 0.5 * math.sqrt(objective.dim)
     if config.exclusion_radius >= half_diag:

@@ -3,7 +3,8 @@
 It is written apart from the package, so the tests can byte-compare
 core.pairwise_sweep on both of its kernels (core._sweep_python, the plain
 Python loop, and the C loop) against it: same positions, same random stream
-state afterwards.  It shares only the random-step draw with the package.
+state afterwards.  It shares only the random-step draw of one piece and the
+piece size with the package; the cut into pieces is stated here again.
 """
 
 import math
@@ -11,10 +12,26 @@ from bisect import bisect_left
 
 import numpy as np
 
-from fireflyopt.core import _draw_eps_rows
+from fireflyopt.core import _PIECE_DOUBLES, _draw_eps_rows
 
 
-def sweep_scalar(state, objective, params, alpha_t, eps_fn) -> None:
+def piece_rows(need, dim):
+    """The step rows of each piece of a one-block sweep whose fireflies need need[i] rows.
+
+    Fireflies join the open piece in order while its rows fit in
+    _PIECE_DOUBLES doubles; one that does not fit opens the next piece, on
+    its own if its rows alone do not fit.
+    """
+    limit = _PIECE_DOUBLES // dim
+    rows = [0]
+    for n in need:
+        if rows[-1] and rows[-1] + n > limit:
+            rows.append(0)
+        rows[-1] += n
+    return rows
+
+
+def sweep_scalar(state, objective, params, alpha_t) -> None:
     """pairwise_sweep on plain Python floats, one firefly and one d at a time."""
     pop = len(state.fitness)
     dim = objective.dim
@@ -27,8 +44,9 @@ def sweep_scalar(state, objective, params, alpha_t, eps_fn) -> None:
     # After sorting, the strictly brighter peers of firefly i are exactly
     # the prefix before its tie group.
     counts = [bisect_left(fit, fit[i]) for i in range(pop)]
-    walkers = 0 if params.elitism else sum(1 for c in counts if c == 0)
-    eps = _draw_eps_rows(state.rng, sum(counts) + walkers, dim, params.epsilon_kind, eps_fn).tolist()
+    walker = 0 if params.elitism else 1
+    pieces = piece_rows([c or walker for c in counts], dim)
+    eps = [e for rows in pieces for e in _draw_eps_rows(state.rng, rows, dim, params).tolist()]
 
     pos = state.positions.tolist()
     synchronous = params.update_scheme == "synchronous"

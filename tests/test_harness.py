@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -318,6 +318,23 @@ def test_every_variant_runs_and_is_deterministic(variant):
     a = run_single(config, 5)
     b = run_single(config, 5)
     assert a.trace == b.trace
+
+
+def test_levy_variant_runs_the_base_loop_on_levy_steps():
+    # the summary still echoes the config's epsilon_kind, which the levy variant does not use
+    config = parse_config(SMALL.replace("variant: base", "variant: levy") + "levy_lambda: 1.2\n")
+    assert (config.params.epsilon_kind, config.params.levy_lambda) == ("levy", 1.2)
+    assert config.flat()["epsilon_kind"] == "gaussian"
+    report = run_single(config, 5)
+    assert report.trace == core.run(harness.build_objective(config, 5), config.params, 5).trace
+    assert run_single(replace(config, levy_lambda=2.5), 5).trace != report.trace
+
+
+@pytest.mark.parametrize("variant", ["base", "levy"])
+def test_parse_rejects_levy_as_an_epsilon_kind(variant):
+    # Lévy steps are the levy variant's; the config adds no value for them
+    with pytest.raises(ValueError, match=r"^malformed value for 'epsilon_kind': levy steps are the levy variant's"):
+        parse_config(MINIMAL.replace("variant: base", f"variant: {variant}") + "epsilon_kind: levy\n")
 
 
 def test_multiswarm_variant_through_harness():
@@ -710,6 +727,24 @@ def test_cli_rejects_sentinels_that_use_up_the_budget(tmp_path, capsys):
     assert captured.err == ("error: sentinel_count (4) charges each of the num_swarms (2) swarms at least 2 probes a "
                             "generation, which use up max_fes (2) before any swarm evaluates a row\n")
     assert captured.out == "" and not out_dir.exists()
+
+
+def test_cli_compare_rejects_sentinels_that_use_up_the_budget_before_running_any_config(tmp_path, capsys,
+                                                                                         monkeypatch):
+    # the check runs when b is parsed, so the good config a runs no repetition
+    runs = []
+    monkeypatch.setattr(harness, "run_single", lambda config, seed: runs.append(seed))
+    doc = ("benchmark: moving_peaks\nvariant: multiswarm\nrepetitions: 2\nbase_seed: 0\ndim: 2\n"
+           "pop_size: 2\nnum_swarms: 2\nmax_fes: 2\n")
+    a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
+    a.write_text(doc + "sentinel_count: 3\n")
+    b.write_text(doc + "sentinel_count: 4\n")
+    out_dir = tmp_path / "out"
+    assert main(["compare", "--configs", str(a), str(b), "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: sentinel_count (4) charges each of the num_swarms (2) swarms at least 2 probes a "
+                            "generation, which use up max_fes (2) before any swarm evaluates a row\n")
+    assert captured.out == "" and not out_dir.exists() and runs == []
 
 
 def test_cli_compare(tmp_path, capsys):

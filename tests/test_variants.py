@@ -616,7 +616,9 @@ def test_multiswarm_step_matches_one_step_per_swarm(loader, num_swarms, swarm_si
         if per_point:
             fn = landscape.eval
             obj = dataclasses.replace(landscape, eval=lambda x: fn(x), known_optimum=None)
-        swarms = initialize_multiswarm(obj, params, config, seed)
+        # initialize_multiswarm rejects sentinels that use up the budget; the
+        # same swarms, laid out without sentinels, step such a layout directly
+        swarms = initialize_multiswarm(obj, params, dataclasses.replace(config, sentinel_count=0), seed)
         sentinels = make_sentinels(obj, sentinel_count, seed + 1)
         log, raised = [], None
         with pinned if loader == "disabled" else contextlib.nullcontext():
