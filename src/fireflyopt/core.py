@@ -1,7 +1,7 @@
 """Domain types and the base firefly algorithm.
 
-The search loop per generation: refresh the randomization scale, evaluate
-the population and reconcile the best-so-far, sort it by fitness, then sweep
+The search loop per generation: evaluate the population and reconcile the
+best-so-far, sort it by fitness, look up the randomization scale, then sweep
 attraction moves (each firefly moves toward every strictly brighter peer).
 Minimization convention throughout: the brightest firefly has the lowest fitness.
 
@@ -342,17 +342,15 @@ def _rows_left(state: SwarmState, params: FaParams) -> int:
     return max(0, min(len(state.fitness), params.max_fes - state.fes_used))
 
 
-def _evaluate_swarms(states: Sequence[SwarmState], objective: Objective, takes: Sequence[int]) -> np.ndarray:
+def _evaluate_swarms(states: Sequence[SwarmState], objective: Objective, takes: Sequence[int]) -> None:
     """The one evaluation of swarm rows: the leading takes[k] rows of swarm k, in one checked_rows call.
 
     It reads no budget.  Swarm k's values become its leading fitness, charged
     to its fes_used, and its best becomes their first minimum if strictly
     lower (or if it has none).  If the objective raises, no swarm is written.
-    Returns the swarms' stacked positions, every row.
     """
-    pos = states[0].positions if len(states) == 1 else np.concatenate([s.positions for s in states])
-    rows = pos if sum(takes) == len(pos) else np.concatenate([s.positions[:n] for s, n in zip(states, takes)])
-    values = checked_rows(objective, rows)
+    rows = [s.positions[:n] for s, n in zip(states, takes)]
+    values = checked_rows(objective, rows[0] if len(rows) == 1 else np.concatenate(rows))
     for s, n, start in zip(states, takes, accumulate(takes, initial=0)):
         fresh = values[start:start + n]
         s.fitness[:n] = fresh
@@ -361,26 +359,26 @@ def _evaluate_swarms(states: Sequence[SwarmState], objective: Objective, takes: 
             if s.best is None or fresh[i] < s.best.fitness:
                 s.best = Firefly(s.positions[i].copy(), fresh[i])
         s.fes_used += n
-    return pos
 
 
 def order(state: SwarmState) -> SwarmState:
     """Sort ascending by fitness into new arrays, ties in their relative order: step_swarms's sort."""
     if np.isnan(state.fitness).any():
         raise ValueError("cannot order an unevaluated population")
-    _order_swarms([state], state.positions)
+    _order_swarms([state])
     return state
 
 
-def _order_swarms(states: Sequence[SwarmState], pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """order on S swarms of one size, stacked in pos, by one stable argsort; returns the sorted stacked arrays."""
+def _order_swarms(states: Sequence[SwarmState]) -> tuple[np.ndarray, np.ndarray]:
+    """order on S swarms of one size by one stable argsort; returns the sorted stacked arrays."""
     if len(states) == 1:
         rank = np.argsort(states[0].fitness, kind="stable")
-        states[0].positions, states[0].fitness = pos[rank], states[0].fitness[rank]
+        states[0].positions, states[0].fitness = states[0].positions[rank], states[0].fitness[rank]
         return states[0].positions[None], states[0].fitness[None]
     pop = len(states[0].fitness)
     fit = np.concatenate([s.fitness for s in states]).reshape(-1, pop)
     rank = (np.argsort(fit, axis=1, kind="stable") + np.arange(0, fit.size, pop)[:, None]).ravel()
+    pos = np.concatenate([s.positions for s in states])
     pos, fit = pos[rank].reshape(len(states), pop, -1), fit.ravel()[rank].reshape(-1, pop)
     for s, p, f in zip(states, pos, fit):
         s.positions, s.fitness = p, f
@@ -445,8 +443,9 @@ def sweep_blocks(
     random stream rngs[b] and its step scale alphas[b].  Each block draws
     from its own stream, in block order, exactly the rows its own
     pairwise_sweep would draw, and no block sees another, so the result is
-    the S single-block sweeps bit for bit.  One stream and one alpha per
-    block are required: other lengths raise ValueError before any draw.
+    the S single-block sweeps bit for bit.  One stream, one alpha and one
+    positions block per block are required: other lengths raise ValueError
+    before any draw.
 
     The checks and counts are made here, once, and handed to one of two
     kernels that return the same positions bit for bit: the C loop _SWEEP_C
@@ -466,6 +465,9 @@ def sweep_blocks(
                          f"{len(rngs)} rngs, {len(alphas)} alphas")
     dim = objective.dim
     pos = np.ascontiguousarray(positions, dtype=float)
+    if pos.shape[:1] != (blocks,):
+        raise ValueError(f"sweep_blocks needs one positions block per fitness block: {blocks} blocks, "
+                         f"got positions of shape {pos.shape}")
     if pos.shape != (blocks, pop, dim):
         raise ValueError(f"positions must have shape ({pop}, {dim}), got {pos.shape[1:]}")
     # once sorted, a firefly's strictly brighter peers are the prefix before its tie group
@@ -820,33 +822,30 @@ def step(state: SwarmState, objective: Objective, params: FaParams, sweep: Optio
 
 def step_swarms(states: Sequence[SwarmState], objective: Objective, params: FaParams,
                 sweep: Optional[Callable] = None) -> None:
-    """One generation of every swarm with budget left: schedule alpha, evaluate and track best, sort, move.
+    """One generation of every swarm with budget left: evaluate and track best, sort, schedule alpha, move.
 
     Swarms of other than one size raise ValueError before any evaluation.
-    Each swarm's alpha_at comes first, then one _evaluate_swarms call on
-    every swarm's rows, each cut to its own remaining budget.  A swarm that this
-    pass left without budget keeps its row order (NaN rows and all) and
-    does not move.  One stable argsort orders the others, which move in one
-    sweep_blocks call, or by sweep(state, objective, params, alpha_t) on each
-    in swarm order, after every swarm's pass.  If the objective raises, no
-    swarm has been written back.
+    One _evaluate_swarms call takes every swarm's rows, each cut to its own
+    remaining budget.  A swarm that this pass left without budget keeps its
+    row order (NaN rows and all) and does not move.  The others are sorted
+    by one stable argsort, take alpha_at at their own t (the generation's
+    one schedule lookup), and move in one sweep_blocks call, or by
+    sweep(state, objective, params, alpha_t) on each in swarm order.  If
+    the objective raises, no swarm has been written back.
     """
-    active, alphas = [], []
+    active = []
     for s in states:
         if len(s.fitness) != len(states[0].fitness):
             raise ValueError(f"step_swarms needs swarms of one size, got sizes {[len(s.fitness) for s in states]}")
         if s.fes_used < params.max_fes:
             active.append(s)
-            alphas.append(alpha_at(params.alpha_schedule, s.t))
     if not active:
         return
-    pos = _evaluate_swarms(active, objective, [_rows_left(s, params) for s in active])
+    _evaluate_swarms(active, objective, [_rows_left(s, params) for s in active])
     swarms = [s for s in active if s.fes_used < params.max_fes]
     if swarms:
-        if len(swarms) < len(active):
-            alphas = [a for s, a in zip(active, alphas) if s.fes_used < params.max_fes]
-            pos = np.concatenate([s.positions for s in swarms])
-        pos, fit = _order_swarms(swarms, pos)
+        pos, fit = _order_swarms(swarms)
+        alphas = [alpha_at(params.alpha_schedule, s.t) for s in swarms]
         if sweep is None:
             for s, p in zip(swarms, sweep_blocks(pos, fit, [s.rng for s in swarms], objective, params, alphas)):
                 s.positions = p

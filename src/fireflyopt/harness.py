@@ -37,6 +37,9 @@ from .variants import (
 
 # variant -> (key, value) the variant forces; any other explicit value is an error
 _FORCED = {"elitist": ("elitism", True), "chaotic_alpha": ("alpha_schedule", "chaotic")}
+# variants whose steps follow one distribution whatever epsilon_kind says (the
+# levy variant's Lévy steps, the pull's Gaussian ones): epsilon_kind keeps its default
+_OWN_STEPS = ("levy", "gaussian_pull", "pso_like")
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,6 @@ class ExperimentConfig:
             raise ValueError(f"malformed value for 'dim': must be >= 1, got {self.dim}")
         if self.elitist_trials < 0:
             raise ValueError(f"malformed value for 'elitist_trials': must be >= 0, got {self.elitist_trials}")
-        if not 1.0 < self.levy_lambda < 3.0:
-            raise ValueError(f"malformed value for 'levy_lambda': must lie in (1, 3), got {self.levy_lambda}")
         if not math.isfinite(self.success_threshold):
             raise ValueError(
                 f"malformed value for 'success_threshold': must be finite, got {self.success_threshold}"
@@ -121,6 +122,9 @@ class ExperimentConfig:
         if self.epsilon_kind == "levy":
             raise ValueError("malformed value for 'epsilon_kind': levy steps are the levy variant's; "
                              "set variant: levy instead")
+        if self.variant in _OWN_STEPS and self.epsilon_kind != "gaussian":
+            raise ValueError(f"malformed value for 'epsilon_kind': the {self.variant} variant draws its own steps, "
+                             f"got {self.epsilon_kind!r}; drop the key or set it to 'gaussian'")
         self.params  # validates the run parameters
 
         if self.variant == "multiswarm":
@@ -252,8 +256,11 @@ def parse_config(source: str) -> ExperimentConfig:
 def build_objective(config: ExperimentConfig, seed: int) -> Objective:
     """Objective for one repetition; dynamic landscapes are seeded per repetition.
 
-    The landscape stream is decorrelated from the optimizer stream of the
-    same repetition via a distinct spawn key.
+    The landscape stream is SeedSequence(seed, spawn_key=(2,)).  That is
+    also the stream of swarm 2 of a multiswarm run with 3 or more swarms
+    (initialize_multiswarm spawns swarm k with key (k,)), so the two are
+    not independent: that swarm draws its first positions from the
+    landscape's own draws.
     """
     if config.benchmark == "moving_peaks":
         return make_moving_peaks(
@@ -276,10 +283,12 @@ def run_multiswarm(
 ) -> tuple[RunReport, list[dict]]:
     """Multi-swarm search until the shared evaluation budget is spent.
 
-    Change detection uses fixed sentinel probes drawn from a stream
-    decorrelated from the swarms.  The budget is enforced on the total
-    across swarms, so the final generation may overshoot by at most one
-    generation's worth of evaluations.  Returns the report plus the
+    Change detection uses fixed sentinel probes drawn from the stream
+    SeedSequence(seed, spawn_key=(3,)).  That is also swarm 3's stream when
+    there are 4 or more swarms, so the sentinels then sit on that swarm's
+    first positions.  The budget is enforced on the total across swarms, so
+    the final generation may overshoot by at most one generation's worth of
+    evaluations.  Returns the report plus the
     interaction event log (exclusions, anti-convergence resets, detected
     landscape changes), each tagged with its generation.
 

@@ -28,7 +28,7 @@ from .core import (
     step,  # not called here, but perfbench/probe.py patches variants.step
     step_swarms,
 )
-from .randomization import alpha_at
+from .randomization import alpha_at  # not called here, but perfbench/probe.py patches variants.alpha_at
 
 REDUCTION_MODES = ("sa_like", "de_like", "pso_like")
 
@@ -104,16 +104,17 @@ def elitist_best_move(
     m: int,
     params: FaParams,
     objective: Objective,
-    alpha: Optional[float] = None,
+    alpha: float,
 ) -> SwarmState:
     """Probe m random directions from the brightest firefly, keep the best improvement.
 
-    Directions are uniform on the sphere, displacement alpha times the
-    domain width; a zero direction draw is dropped.  The trials go to one
-    checked_rows call, and the first strict minimum below the brightest
-    firefly's fitness wins.  If no trial improves, the brightest firefly
-    stays where it is.  Consumes up to m evaluations, never exceeding the
-    remaining budget.  An unevaluated population raises ValueError.
+    Directions are uniform on the sphere, displacement alpha (the caller's
+    alpha_t) times the domain width; a zero direction draw is dropped.  The
+    trials go to one checked_rows call, and the first strict minimum below
+    the brightest firefly's fitness wins.  If no trial improves, the
+    brightest firefly stays where it is.  Consumes up to m evaluations,
+    never exceeding the remaining budget.  An unevaluated population
+    raises ValueError.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -123,8 +124,6 @@ def elitist_best_move(
     if trials <= 0:
         return state
     i = int(np.argmin(state.fitness))
-    if alpha is None:
-        alpha = alpha_at(params.alpha_schedule, state.t)
     w = objective.width
     dirs = state.rng.standard_normal((trials, objective.dim))
     norms = np.array([float(np.linalg.norm(u)) for u in dirs])
@@ -147,19 +146,17 @@ def global_best_pull_step(
     state: SwarmState,
     objective: Objective,
     params: FaParams,
-    alpha: Optional[float] = None,
+    alpha: float,
 ) -> SwarmState:
     """Move every firefly toward the best-so-far with a Gaussian random step.
 
     Update: s_i + beta0 * exp(-gamma * r^2) * (g - s_i) + alpha * eps * width,
     with r the normalized distance to the best-so-far g (core.pull_rows
-    over the whole population).  With gamma = 0 this is the
-    accelerated-particle-swarm special case.
+    over the whole population) and alpha the caller's alpha_t.  With
+    gamma = 0 this is the accelerated-particle-swarm special case.
     """
     if state.best is None:
         raise ValueError("population must be evaluated before a pull step")
-    if alpha is None:
-        alpha = alpha_at(params.alpha_schedule, state.t)
     eps = state.rng.standard_normal(state.positions.shape)
     pos = pull_rows(state.positions, state.best.position, params, alpha, eps, objective.width)
     state.positions = np.clip(pos, objective.lower, objective.upper, out=pos)
@@ -237,7 +234,13 @@ def initialize_multiswarm(
     config: MultiSwarmConfig,
     seed: int,
 ) -> list[SwarmState]:
-    """Independent swarms with provably disjoint random streams.
+    """Swarms whose random streams are disjoint among themselves.
+
+    Swarm k draws from SeedSequence(seed).spawn(num_swarms)[k], spawn key
+    (k,).  Streams that other consumers seed from the same entropy with a
+    fixed key are not disjoint from these: harness.build_objective's
+    moving-peaks landscape (key (2,)) and run_multiswarm's sentinels (key
+    (3,)) share swarm 2's and swarm 3's streams.
 
     Sentinel probe k is charged to swarm k mod num_swarms, so each swarm
     pays at least sentinel_count // num_swarms probes a generation.  When

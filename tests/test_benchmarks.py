@@ -193,6 +193,11 @@ def test_moving_peaks_validation():
         make_moving_peaks(peak_count=0, seed=0)
     with pytest.raises(ValueError):
         make_moving_peaks(shift_length=0.0, seed=0)
+    for sizes in ({"heights": np.ones(3)}, {"widths": np.ones(1)}):
+        with pytest.raises(ValueError, match="^heights and widths must each have one entry per peak$"):
+            make_moving_peaks(peak_count=2, dim=2, seed=0, **sizes)
+    with pytest.raises(ValueError, match=r"^centers must have shape \(2, 3\)$"):
+        make_moving_peaks(peak_count=2, dim=3, centers=np.zeros((2, 2)), seed=0)
 
 
 @pytest.mark.parametrize(

@@ -251,6 +251,8 @@ def test_params_reject_levy_lambda_outside_its_range(lam):
 def test_objective_validation():
     with pytest.raises(ValueError):
         Objective(dim=2, lower=np.array([0.0, 1.0]), upper=np.array([1.0, 1.0]), eval=lambda x: 0.0)
+    with pytest.raises(ValueError, match=r"^bounds must have shape \(2,\)$"):
+        Objective(dim=2, lower=np.zeros(3), upper=np.ones(2), eval=lambda x: 0.0)
     with pytest.raises(ValueError):
         Objective(
             dim=1,
@@ -711,6 +713,15 @@ def test_step_leaves_find_best_nothing_to_reconcile(move, name, dim):
 
 
 # ------------------------------------------------------------------- step
+
+
+def test_step_looks_up_alpha_once_per_generation_that_moves(monkeypatch):
+    # 40 whole passes move; the 41st, cut to 4 rows, spends the budget and
+    # does not move, so it is not scheduled (it was, before the evaluation)
+    looked_up, original = [], core.alpha_at
+    monkeypatch.setattr(core, "alpha_at", lambda schedule, t: looked_up.append(t) or original(schedule, t))
+    report = run(lookup("sphere", 2), FaParams(pop_size=7, max_fes=7 * 40 + 4), 3)
+    assert looked_up == list(range(40)) and report.trace[-1][:2] == (40, 284)
 
 
 def test_step_single_firefly_with_elitism_holds():
@@ -1251,17 +1262,27 @@ def test_sweep_blocks_matches_one_pairwise_sweep_per_block_on_every_step_kind(po
 
 
 @pytest.mark.parametrize("loader", ["enabled", "disabled"])
-@pytest.mark.parametrize("rngs, alphas", [(2, 3), (3, 2), (4, 3), (3, 4), (2, 2)])
-def test_sweep_blocks_rejects_other_than_one_stream_and_one_alpha_per_block(rngs, alphas, loader, monkeypatch):
-    # a (3, 8, 5) block stack; before, the C loop read steps past the end of
-    # a short draw, and the Python loop left blocks without an alpha unmoved
+@pytest.mark.parametrize(
+    "rngs, alphas, stacked",
+    [(2, 3, 3), (3, 2, 3), (4, 3, 3), (3, 4, 3), (2, 2, 3), (3, 3, 4), (3, 3, 2)],
+    ids=["2-3", "3-2", "4-3", "3-4", "2-2", "positions-4", "positions-2"],
+)
+def test_sweep_blocks_rejects_other_than_one_stream_and_one_alpha_per_block(rngs, alphas, stacked, loader,
+                                                                            monkeypatch):
+    # 3 fitness blocks of 8 x 5; before, the C loop read steps past the end of
+    # a short draw, and the Python loop left blocks without an alpha unmoved.
+    # Positions of another block count were reported as "must have shape
+    # (8, 5), got (8, 5)".
     if loader == "disabled":
         _without_native(monkeypatch)
     states = [_sweep_state(8, 5, seed=b)[1] for b in range(4)]
-    pos = np.stack([s.positions for s in states[:3]])
+    pos = np.stack([s.positions for s in states[:stacked]])
     fit = np.stack([s.fitness for s in states[:3]])
     streams = [s.rng.bit_generator.state for s in states]
-    message = f"one rng and one alpha per block: 3 blocks, {rngs} rngs, {alphas} alphas"
+    if stacked == 3:
+        message = f"one rng and one alpha per block: 3 blocks, {rngs} rngs, {alphas} alphas"
+    else:
+        message = f"one positions block per fitness block: 3 blocks, got positions of shape ({stacked}, 8, 5)"
     params = FaParams(pop_size=8, max_fes=80)
     with pytest.raises(ValueError, match=re.escape(message)):
         core.sweep_blocks(pos, fit, [s.rng for s in states[:rngs]], lookup("rastrigin", 5), params, [0.3] * alphas)

@@ -81,11 +81,20 @@ def test_parse_rejects_malformed_value():
         parse_config(MINIMAL + "alpha: sometimes\n")
     with pytest.raises(ValueError, match="pop_size"):
         parse_config(MINIMAL + "pop_size: 12.5\n")
+    with pytest.raises(ValueError, match="^malformed value for 'elitism': expected a boolean, got 1$"):
+        parse_config(MINIMAL + "elitism: 1\n")
+    with pytest.raises(ValueError, match="^malformed value for 'update_scheme': expected a string, got 3$"):
+        parse_config(MINIMAL + "update_scheme: 3\n")
+    with pytest.raises(ValueError, match="^malformed value for 'repetitions': must be >= 1$"):
+        parse_config(MINIMAL.replace("repetitions: 3", "repetitions: 0"))
 
 
 def test_parse_requires_keys():
     with pytest.raises(ValueError, match="base_seed"):
         parse_config("benchmark: sphere\nvariant: base\nrepetitions: 3\n")
+    # an empty document names the first required key
+    with pytest.raises(ValueError, match="^missing required config key 'benchmark'$"):
+        parse_config("")
 
 
 @pytest.mark.parametrize("name", ["sphere", "moving_peaks"])
@@ -216,8 +225,10 @@ def test_parse_rejects_non_positive_num_swarms(num_swarms):
      ("success_threshold", ".nan"), ("success_threshold", ".inf")],
 )
 def test_parse_rejects_out_of_range_variant_keys(key, value):
-    # each was accepted, and elitist_trials -1 failed only at run time
-    with pytest.raises(ValueError, match=f"malformed value for '{key}'"):
+    # each was accepted, and elitist_trials -1 failed only at run time;
+    # FaParams checks levy_lambda, by its name, as it does alpha
+    match = f"^{key} must lie in" if key == "levy_lambda" else f"malformed value for '{key}'"
+    with pytest.raises(ValueError, match=match):
         parse_config(MINIMAL + f"{key}: {value}\n")
 
 
@@ -272,6 +283,8 @@ def test_config_builds_params_and_multiswarm_once():
 def test_parse_rejects_non_mapping():
     with pytest.raises(ValueError):
         parse_config("- a\n- b\n")
+    with pytest.raises(ValueError, match="^config is not valid YAML"):
+        parse_config("benchmark: [sphere\n")
 
 
 # ------------------------------------------------------------- experiments
@@ -335,6 +348,17 @@ def test_parse_rejects_levy_as_an_epsilon_kind(variant):
     # Lévy steps are the levy variant's; the config adds no value for them
     with pytest.raises(ValueError, match=r"^malformed value for 'epsilon_kind': levy steps are the levy variant's"):
         parse_config(MINIMAL.replace("variant: base", f"variant: {variant}") + "epsilon_kind: levy\n")
+
+
+@pytest.mark.parametrize("variant", ["levy", "gaussian_pull", "pso_like"])
+def test_parse_rejects_an_epsilon_kind_that_the_variant_does_not_draw(variant):
+    # each parsed, drew its own steps and echoed uniform_centered in summary.json
+    doc = MINIMAL.replace("variant: base", f"variant: {variant}")
+    with pytest.raises(ValueError, match=f"^malformed value for 'epsilon_kind': the {variant} variant draws its own"):
+        parse_config(doc + "epsilon_kind: uniform_centered\n")
+    assert parse_config(doc + "epsilon_kind: gaussian\n").flat()["epsilon_kind"] == "gaussian"
+    # the base variant draws the kind the key names
+    assert parse_config(MINIMAL + "epsilon_kind: uniform_centered\n").params.epsilon_kind == "uniform_centered"
 
 
 def test_multiswarm_variant_through_harness():
@@ -571,6 +595,8 @@ def test_compare_row_order_and_budget_check():
     rastrigin = parse_config(SMALL.replace("benchmark: sphere", "benchmark: rastrigin"))
     with pytest.raises(ValueError, match="benchmark"):
         compare_variants([base, rastrigin])
+    with pytest.raises(ValueError, match="^no configs to compare$"):
+        compare_variants([])
 
 
 @pytest.mark.parametrize("workers", [1, 4])

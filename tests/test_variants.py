@@ -60,7 +60,7 @@ def test_elitist_move_zero_trials_is_noop():
     state = evaluated_state(obj, params, 0)
     before = state.fireflies[0].position.copy()
     fes = state.fes_used
-    elitist_best_move(state, 0, params, obj)
+    elitist_best_move(state, 0, params, obj, alpha=0.1)
     assert np.array_equal(state.fireflies[0].position, before)
     assert state.fes_used == fes
 
@@ -104,9 +104,18 @@ def test_elitist_move_rejects_unevaluated_population():
     state = initialize(obj, params, 0)
     before = state.positions.copy()
     with pytest.raises(ValueError, match="evaluated"):
-        elitist_best_move(state, 4, params, obj)
+        elitist_best_move(state, 4, params, obj, alpha=0.1)
     assert state.fes_used == 0 and state.best is None
     assert state.positions.tobytes() == before.tobytes()
+
+
+def test_elitist_move_rejects_a_negative_trial_count():
+    obj = lookup("sphere", 2)
+    params = FaParams(pop_size=3, max_fes=100)
+    state = evaluated_state(obj, params, 0)
+    with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
+        elitist_best_move(state, -1, params, obj, alpha=0.1)
+    assert state.fes_used == 3
 
 
 def test_elitist_move_improves_from_plateau():
@@ -269,7 +278,7 @@ def test_pull_step_requires_evaluated_state():
     params = FaParams(pop_size=3, max_fes=100)
     state = initialize(obj, params, 0)
     with pytest.raises(ValueError):
-        global_best_pull_step(state, obj, params)
+        global_best_pull_step(state, obj, params, alpha=0.1)
 
 
 def _pull_step_loop(state, objective, params, alpha):
@@ -395,6 +404,19 @@ def test_multiswarm_config_rejects_non_finite_radii(name, bad):
     radii = {"exclusion_radius": 0.1, "anticonvergence_radius": 0.05, name: bad}
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         MultiSwarmConfig(num_swarms=2, swarm_size=2, **radii)
+
+
+@pytest.mark.parametrize("name, value", [("num_swarms", 0), ("swarm_size", 0), ("sentinel_count", -1)])
+def test_multiswarm_config_rejects_counts_out_of_range(name, value):
+    # only the API reaches these: a config document has num_swarms checked first
+    counts = {"num_swarms": 2, "swarm_size": 2, "sentinel_count": 1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be >= [01], got {value}$"):
+        MultiSwarmConfig(exclusion_radius=0.1, anticonvergence_radius=0.05, **counts)
+
+
+def test_make_sentinels_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="^count must be >= 0, got -1$"):
+        make_sentinels(lookup("sphere", 2), -1, 0)
 
 
 def test_multiswarm_rejects_identical_streams():
@@ -543,7 +565,7 @@ def test_multiswarm_batch_path_matches_per_point_path(num_swarms, swarm_size, se
     assert first.rng.bit_generator.state == second.rng.bit_generator.state
 
 
-def test_multiswarm_step_leaves_a_cut_rerandomized_swarm_unsorted():
+def test_multiswarm_step_leaves_a_cut_rerandomized_swarm_unsorted(monkeypatch):
     # exclusion re-randomizes swarm 0 every step; at the sixth both swarms
     # have 6 of their 46 evaluations left, so swarm 0 is cut with NaN rows
     obj = make_moving_peaks(peak_count=3, dim=1, shift_interval=None, seed=0)
@@ -554,9 +576,13 @@ def test_multiswarm_step_leaves_a_cut_rerandomized_swarm_unsorted():
     for _ in range(5):
         multiswarm_step(swarms, config, obj, params, sentinels)
     assert [s.fes_used for s in swarms] == [40, 40] and np.isnan(swarms[0].fitness).all()
-    # the generation alone: the cut swarms keep their rows, the unevaluated ones NaN
+    # the generation alone: the cut swarms keep their rows, the unevaluated
+    # ones NaN, and neither looks up an alpha_t
+    looked_up, original = [], core.alpha_at
+    monkeypatch.setattr(core, "alpha_at", lambda schedule, t: looked_up.append(t) or original(schedule, t))
     cut = copy.deepcopy(swarms)
     core.step_swarms(cut, obj, params)
+    assert looked_up == []
     for before, after in zip(swarms, cut):
         assert after.positions.tobytes() == before.positions.tobytes()
         assert after.fes_used == 46 and after.t == before.t + 1
@@ -862,7 +888,7 @@ def _pulled():
     obj = lookup("sphere", 3)
     params = FaParams(pop_size=5, max_fes=1000)
     state = evaluated_state(obj, params, 0)
-    global_best_pull_step(state, obj, params)
+    global_best_pull_step(state, obj, params, alpha=params.alpha)
     return [state]
 
 
