@@ -68,9 +68,9 @@ class FaParams:
     in every dimension is engine gamma g * w**2.  The evaluation budget
     max_fes counts objective calls, not generations.
 
-    When an explicit alpha_schedule is supplied, its alpha0 governs the
-    run; otherwise a geometric decay schedule with ScheduleDescriptor's
-    default ratio is built from alpha.
+    An explicit alpha_schedule must start at alpha (its alpha0 equal to
+    alpha); without one, a geometric decay schedule with
+    ScheduleDescriptor's default ratio is built from alpha.
 
     levy_lambda is the tail exponent of the "levy" steps (levy_step), in
     (1, 3); the other epsilon kinds ignore it.
@@ -106,6 +106,9 @@ class FaParams:
             raise ValueError(f"unknown update_scheme {self.update_scheme!r}; expected one of {UPDATE_SCHEMES}")
         if self.alpha_schedule is None:
             object.__setattr__(self, "alpha_schedule", ScheduleDescriptor(kind="geometric", alpha0=self.alpha))
+        elif self.alpha_schedule.alpha0 != self.alpha:
+            raise ValueError(f"alpha ({self.alpha}) and alpha_schedule.alpha0 ({self.alpha_schedule.alpha0}) "
+                             "disagree; alpha_schedule=None rebuilds the default schedule from alpha")
 
 
 @dataclass(frozen=True)

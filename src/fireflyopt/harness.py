@@ -35,11 +35,10 @@ from .variants import (
     reduction_mode,
 )
 
-# variant -> (key, value) the variant forces; any other explicit value is an error
-_FORCED = {"elitist": ("elitism", True), "chaotic_alpha": ("alpha_schedule", "chaotic")}
-# variants whose steps follow one distribution whatever epsilon_kind says (the
-# levy variant's Lévy steps, the pull's Gaussian ones): epsilon_kind keeps its default
-_OWN_STEPS = ("levy", "gaussian_pull", "pso_like")
+# every benchmark name a config may give: the registry's, then the dynamic one
+BENCHMARKS = (*benchmark_names(), "moving_peaks")
+# key -> the least value a config may give it, whatever the variant
+_FLOORS = {"repetitions": 1, "base_seed": 0, "dim": 1, "elitist_trials": 0, "num_swarms": 1}
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,8 @@ class ExperimentConfig:
     multiswarm swarm_size defaults to pop_size // num_swarms.  Parsing ends
     by building the first repetition's objective and, for multiswarm, its
     swarm layout, so the checks of the code that owns them run before any
-    repetition does.
+    repetition does.  Whatever the variant, the keys in _FLOORS have a
+    floor and every number must be finite.
     """
 
     benchmark: str
@@ -90,25 +90,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}")
-        if self.benchmark != "moving_peaks" and self.benchmark not in benchmark_names():
-            raise ValueError(
-                f"unknown benchmark {self.benchmark!r}; known: {', '.join(benchmark_names())}, moving_peaks"
-            )
-        if self.repetitions < 1:
-            raise ValueError("malformed value for 'repetitions': must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError(f"malformed value for 'base_seed': must be >= 0, got {self.base_seed}")
-        if self.dim < 1:
-            raise ValueError(f"malformed value for 'dim': must be >= 1, got {self.dim}")
-        if self.elitist_trials < 0:
-            raise ValueError(f"malformed value for 'elitist_trials': must be >= 0, got {self.elitist_trials}")
-        if not math.isfinite(self.success_threshold):
-            raise ValueError(
-                f"malformed value for 'success_threshold': must be finite, got {self.success_threshold}"
-            )
+        if self.benchmark not in BENCHMARKS:
+            raise ValueError(f"unknown benchmark {self.benchmark!r}; known: {', '.join(BENCHMARKS)}")
+        for key, floor in _FLOORS.items():
+            if (value := getattr(self, key)) < floor:
+                raise ValueError(f"malformed value for {key!r}: must be >= {floor}, got {value}")
 
-        if self.variant in _FORCED:
-            key, value = _FORCED[self.variant]
+        _, _, forced, steps = VARIANTS[self.variant]
+        if forced is not None:
+            key, value = forced
             if getattr(self, key) not in (None, value):
                 raise ValueError(
                     f"the {self.variant} variant requires {key} {value!r}; "
@@ -122,32 +112,34 @@ class ExperimentConfig:
         if self.epsilon_kind == "levy":
             raise ValueError("malformed value for 'epsilon_kind': levy steps are the levy variant's; "
                              "set variant: levy instead")
-        if self.variant in _OWN_STEPS and self.epsilon_kind != "gaussian":
+        if steps is not None and self.epsilon_kind != "gaussian":
             raise ValueError(f"malformed value for 'epsilon_kind': the {self.variant} variant draws its own steps, "
                              f"got {self.epsilon_kind!r}; drop the key or set it to 'gaussian'")
         self.params  # validates the run parameters
 
-        if self.variant == "multiswarm":
-            if self.num_swarms < 1:
-                raise ValueError(f"malformed value for 'num_swarms': must be >= 1, got {self.num_swarms}")
-            if self.swarm_size is None:
-                if self.num_swarms > self.pop_size:
-                    raise ValueError(
-                        f"malformed value for 'num_swarms': must not exceed pop_size ({self.pop_size}) "
-                        f"when swarm_size is not set, got {self.num_swarms}"
-                    )
-                object.__setattr__(self, "swarm_size", self.pop_size // self.num_swarms)
+        if self.variant == "multiswarm" and self.swarm_size is None:
+            if self.num_swarms > self.pop_size:
+                raise ValueError(
+                    f"malformed value for 'num_swarms': must not exceed pop_size ({self.pop_size}) "
+                    f"when swarm_size is not set, got {self.num_swarms}"
+                )
+            object.__setattr__(self, "swarm_size", self.pop_size // self.num_swarms)
         objective = build_objective(self, self.base_seed)
         if self.multiswarm is not None:
             initialize_multiswarm(objective, self.params, self.multiswarm, self.base_seed)
+        # last, so that the owner of a key the variant reads names it first
+        for key, value in self.flat().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"malformed value for {key!r}: must be finite, got {value}")
 
     @cached_property
     def params(self) -> FaParams:
         """The run parameters, alpha schedule included.
 
         FaParams checks its fields before the schedule is built from alpha,
-        so an invalid alpha is named as such.  The levy variant runs with
-        epsilon_kind "levy"; the summary still echoes the config's key.
+        so an invalid alpha is named as such.  A variant that draws its own
+        steps runs with their epsilon_kind; the summary still echoes the
+        config's key.
         """
         params = FaParams(
             alpha=self.alpha,
@@ -155,7 +147,7 @@ class ExperimentConfig:
             gamma=self.gamma,
             pop_size=self.pop_size,
             max_fes=self.max_fes,
-            epsilon_kind="levy" if self.variant == "levy" else self.epsilon_kind,
+            epsilon_kind=VARIANTS[self.variant][3] or self.epsilon_kind,
             update_scheme=self.update_scheme,
             elitism=self.elitism,
             levy_lambda=self.levy_lambda,
@@ -229,14 +221,29 @@ def _coerce(key: str, value, want):
     return value
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """yaml.safe_load's loader, except that a mapping may not repeat a key."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep)
+        if len(mapping) < len(node.value):
+            seen = set()
+            for key_node, _ in node.value:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ValueError(f"repeated config key {key!r}")
+                seen.add(key)
+        return mapping
+
+
 def parse_config(source: str) -> ExperimentConfig:
     """Parse a flat key/value config document, filling documented defaults.
 
-    Unknown keys and malformed values are rejected with the offending key
-    named in the diagnostic.
+    Unknown and repeated keys and malformed values are rejected with the
+    offending key named in the diagnostic.
     """
     try:
-        raw = yaml.safe_load(source)
+        raw = yaml.load(source, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ValueError(f"config is not valid YAML: {exc}") from exc
     if raw is None:
@@ -344,32 +351,28 @@ def _run_multiswarm(objective: Objective, params: FaParams, config: ExperimentCo
     return report
 
 
-# variant -> (runner, reduction_mode preset applied to the params or None)
+# variant -> (runner, reduction_mode preset applied to the params, (key, value)
+# the variant forces, epsilon_kind it draws whatever the config says); None
+# where it has none.  Any other explicit value of a forced key is an error.
 VARIANTS = {
-    "base": (_run_base, None),
-    "elitist": (_run_elitist, None),
-    "gaussian_pull": (_run_pull, None),
-    "levy": (_run_base, None),
-    "chaotic_alpha": (_run_base, None),
-    "multiswarm": (_run_multiswarm, None),
-    "sa_like": (_run_base, "sa_like"),
-    "de_like": (_run_base, "de_like"),
-    "pso_like": (_run_pull, "pso_like"),
+    "base": (_run_base, None, None, None),
+    "elitist": (_run_elitist, None, ("elitism", True), None),
+    "gaussian_pull": (_run_pull, None, None, "gaussian"),
+    "levy": (_run_base, None, None, "levy"),
+    "chaotic_alpha": (_run_base, None, ("alpha_schedule", "chaotic"), None),
+    "multiswarm": (_run_multiswarm, None, None, None),
+    "sa_like": (_run_base, "sa_like", None, None),
+    "de_like": (_run_base, "de_like", None, None),
+    "pso_like": (_run_pull, "pso_like", None, "gaussian"),
 }
 
 
 def run_single(config: ExperimentConfig, seed: int) -> RunReport:
     """One repetition of the configured variant with the given seed."""
     objective = build_objective(config, seed)
-    runner, preset = VARIANTS[config.variant]
+    runner, preset, _, _ = VARIANTS[config.variant]
     params = config.params if preset is None else reduction_mode(preset, config.params, seed=seed)
     return runner(objective, params, config, seed)
-
-
-def _optimum_value(config: ExperimentConfig) -> Optional[float]:
-    if config.benchmark == "moving_peaks":
-        return None
-    return lookup(config.benchmark, config.dim).known_optimum[1]
 
 
 def summarize(reports: list[RunReport], optimum_value: Optional[float], threshold: float) -> SummaryStats:
@@ -402,7 +405,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[SummaryS
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     reports = [run_single(config, config.base_seed + r) for r in range(config.repetitions)]
-    stats = summarize(reports, _optimum_value(config), config.success_threshold)
+    optimum = build_objective(config, config.base_seed).known_optimum
+    stats = summarize(reports, None if optimum is None else optimum[1], config.success_threshold)
     return stats, reports
 
 

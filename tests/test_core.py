@@ -10,6 +10,7 @@ import shutil
 import sysconfig
 import threading
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -231,6 +232,14 @@ def test_params_validation():
         FaParams(epsilon_kind="cauchy")
     with pytest.raises(ValueError):
         FaParams(update_scheme="eventual")
+    # a schedule that starts elsewhere than alpha: the run stepped at
+    # alpha0 while move_firefly moved at alpha
+    with pytest.raises(ValueError, match=r"^alpha \(0\.5\) and alpha_schedule\.alpha0 \(0\.2\) disagree; "
+                                         r"alpha_schedule=None rebuilds"):
+        replace(FaParams(), alpha=0.5)
+    with pytest.raises(ValueError, match=r"^alpha \(0\.5\) and alpha_schedule\.alpha0 \(0\.1\) disagree"):
+        FaParams(alpha=0.5, alpha_schedule=ScheduleDescriptor("constant", 0.1))
+    assert replace(FaParams(), alpha=0.5, alpha_schedule=None).alpha_schedule.alpha0 == 0.5
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

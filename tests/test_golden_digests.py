@@ -128,10 +128,15 @@ max_fes: 1200
 }
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"summary.json holds {name}, which strict JSON has no literal for")
+
+
 def artifact_digests(text: str, out_dir: Path) -> dict[str, str]:
     config = parse_config(text)
     stats, reports = run_experiment(config)
     written = emit_results(stats, reports, config, out_dir)
+    json.loads((out_dir / "summary.json").read_text(), parse_constant=_reject_constant)
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written}
 
 

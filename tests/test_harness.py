@@ -28,6 +28,7 @@ from fireflyopt import (
 )
 from fireflyopt.cli import main
 from fireflyopt.harness import _median_columns, compare_variants, emit_results, run_single
+from fireflyopt.variants import REDUCTION_MODES
 
 MINIMAL = """
 benchmark: sphere
@@ -43,10 +44,8 @@ max_fes: 800
 
 
 def small_config(**overrides):
-    doc = SMALL
-    for key, value in overrides.items():
-        doc += f"{key}: {value}\n"
-    return parse_config(doc)
+    settings = {**yaml.safe_load(SMALL), **overrides}
+    return parse_config("".join(f"{key}: {value}\n" for key, value in settings.items()))
 
 
 # ------------------------------------------------------------------ parsing
@@ -85,8 +84,16 @@ def test_parse_rejects_malformed_value():
         parse_config(MINIMAL + "elitism: 1\n")
     with pytest.raises(ValueError, match="^malformed value for 'update_scheme': expected a string, got 3$"):
         parse_config(MINIMAL + "update_scheme: 3\n")
-    with pytest.raises(ValueError, match="^malformed value for 'repetitions': must be >= 1$"):
+    with pytest.raises(ValueError, match="^malformed value for 'repetitions': must be >= 1, got 0$"):
         parse_config(MINIMAL.replace("repetitions: 3", "repetitions: 0"))
+
+
+@pytest.mark.parametrize("key, values", [("alpha", ("0.1", "0.3")), ("variant", ("base", "levy"))])
+def test_parse_rejects_a_repeated_key(key, values):
+    # the last value won silently
+    doc = MINIMAL.replace(f"{key}: base", "") + "".join(f"{key}: {v}\n" for v in values)
+    with pytest.raises(ValueError, match=f"^repeated config key '{key}'$"):
+        parse_config(doc)
 
 
 def test_parse_requires_keys():
@@ -222,7 +229,7 @@ def test_parse_rejects_non_positive_num_swarms(num_swarms):
 @pytest.mark.parametrize(
     "key, value",
     [("elitist_trials", "-1"), ("levy_lambda", "5.0"), ("levy_lambda", "1.0"), ("levy_lambda", ".nan"),
-     ("success_threshold", ".nan"), ("success_threshold", ".inf")],
+     ("success_threshold", ".nan"), ("success_threshold", ".inf"), ("num_swarms", "0")],
 )
 def test_parse_rejects_out_of_range_variant_keys(key, value):
     # each was accepted, and elitist_trials -1 failed only at run time;
@@ -241,6 +248,19 @@ def test_parse_rejects_non_finite_parameters(key, value):
     # alpha also starts the schedule; FaParams checks it first, by its name
     doc = MINIMAL.replace("variant: base", "variant: multiswarm") + "pop_size: 10\nnum_swarms: 2\n"
     with pytest.raises(ValueError, match=f"{key} must be finite"):
+        parse_config(doc + f"{key}: {value}\n")
+
+
+@pytest.mark.parametrize(
+    "variant, key, value",
+    [("base", "exclusion_radius", ".inf"), ("chaotic_alpha", "schedule_ratio", ".nan"),
+     ("base", "schedule_x0", ".inf"), ("base", "shift_length", ".nan"), ("base", "peaks_upper", ".inf")],
+)
+def test_parse_rejects_non_finite_values_of_keys_the_variant_ignores(variant, key, value):
+    # each parsed, ran, and wrote NaN or Infinity into summary.json, which
+    # strict JSON parsers reject
+    doc = MINIMAL.replace("variant: base", f"variant: {variant}")
+    with pytest.raises(ValueError, match=f"^malformed value for '{key}': must be finite, got (nan|inf)$"):
         parse_config(doc + f"{key}: {value}\n")
 
 
@@ -323,6 +343,15 @@ def test_concurrent_matches_sequential(tmp_path):
     emit_results(stats_con, reports_con, config, con_dir)
     for path in sorted(seq_dir.iterdir()):
         assert path.read_bytes() == (con_dir / path.name).read_bytes()
+
+
+def test_variant_table_rows_name_config_keys_step_kinds_and_presets():
+    keys = {f.name for f in fields(ExperimentConfig)}
+    for runner, preset, forced, steps in harness.VARIANTS.values():
+        assert callable(runner)
+        assert preset is None or preset in REDUCTION_MODES
+        assert forced is None or forced[0] in keys
+        assert steps is None or steps in core.EPSILON_KINDS
 
 
 @pytest.mark.parametrize("variant", ["elitist", "gaussian_pull", "levy", "chaotic_alpha", "sa_like", "de_like", "pso_like"])
@@ -695,6 +724,7 @@ def test_cli_list_benchmarks(capsys):
     assert main(["list-benchmarks"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "sphere" in out and "moving_peaks" in out
+    assert tuple(out) == harness.BENCHMARKS == (*benchmark_names(), "moving_peaks")
 
 
 def test_cli_run_writes_files(tmp_path, capsys):
