@@ -336,32 +336,40 @@ def evaluate(state: SwarmState, objective: Objective, params: FaParams) -> Swarm
     refreshed and the budget is exhausted, which ends the run.  The best-so-far
     becomes the first minimum of the fresh values if that is strictly lower.
     """
-    _evaluate_swarms([state], objective, [_rows_left(state, params)])
+    _evaluate_swarms([state], objective, [_rows_left(state, params, len(state.fitness))])
     return state
 
 
-def _rows_left(state: SwarmState, params: FaParams) -> int:
-    """The leading rows of state that its remaining budget pays for: the cut of evaluate and step_swarms."""
-    return max(0, min(len(state.fitness), params.max_fes - state.fes_used))
+def _rows_left(state: SwarmState, params: FaParams, n: int) -> int:
+    """How many of n requested evaluations state's remaining budget pays for: the one cut of every request."""
+    return max(0, min(n, params.max_fes - state.fes_used))
+
+
+def _record(state: SwarmState, points: np.ndarray, values: list[float]) -> None:
+    """Charge state for values taken at points, one evaluation each: the one charge of swarm rows and elitist trials.
+
+    The first minimum of values becomes state's best if it is strictly
+    lower, or if state has no best.
+    """
+    if values:
+        i = values.index(min(values))
+        if state.best is None or values[i] < state.best.fitness:
+            state.best = Firefly(points[i].copy(), values[i])
+    state.fes_used += len(values)
 
 
 def _evaluate_swarms(states: Sequence[SwarmState], objective: Objective, takes: Sequence[int]) -> None:
     """The one evaluation of swarm rows: the leading takes[k] rows of swarm k, in one checked_rows call.
 
-    It reads no budget.  Swarm k's values become its leading fitness, charged
-    to its fes_used, and its best becomes their first minimum if strictly
-    lower (or if it has none).  If the objective raises, no swarm is written.
+    It reads no budget.  Swarm k's values become its leading fitness and are
+    recorded (_record).  If the objective raises, no swarm is written.
     """
     rows = [s.positions[:n] for s, n in zip(states, takes)]
     values = checked_rows(objective, rows[0] if len(rows) == 1 else np.concatenate(rows))
-    for s, n, start in zip(states, takes, accumulate(takes, initial=0)):
-        fresh = values[start:start + n]
-        s.fitness[:n] = fresh
-        if fresh:
-            i = fresh.index(min(fresh))
-            if s.best is None or fresh[i] < s.best.fitness:
-                s.best = Firefly(s.positions[i].copy(), fresh[i])
-        s.fes_used += n
+    for s, r, start in zip(states, rows, accumulate(takes, initial=0)):
+        fresh = values[start:start + len(r)]
+        s.fitness[:len(r)] = fresh
+        _record(s, r, fresh)
 
 
 def order(state: SwarmState) -> SwarmState:
@@ -844,7 +852,7 @@ def step_swarms(states: Sequence[SwarmState], objective: Objective, params: FaPa
             active.append(s)
     if not active:
         return
-    _evaluate_swarms(active, objective, [_rows_left(s, params) for s in active])
+    _evaluate_swarms(active, objective, [_rows_left(s, params, len(s.fitness)) for s in active])
     swarms = [s for s in active if s.fes_used < params.max_fes]
     if swarms:
         pos, fit = _order_swarms(swarms)
@@ -865,13 +873,28 @@ def run(
     seed: int,
     sweep: Optional[Callable] = None,
 ) -> RunReport:
-    """Full search: step until the evaluation budget is spent.
+    """Full search: _run with one step of one swarm per generation.
 
     The (objective, params, seed) triple fully determines the report.
     """
     state = initialize(objective, params, seed)
+    # step is looked up at call time, so a replaced module global
+    # (perfbench/probe.py's tracing wrapper) sees every generation
+    return _run([state], params, seed, lambda g: step(state, objective, params, sweep=sweep))
+
+
+def _run(swarms: Sequence[SwarmState], params: FaParams, seed: int, generation: Callable[[int], object]) -> RunReport:
+    """The loop of every run: generation(g), g = 0, 1, ..., while the swarms' summed fes_used is below max_fes.
+
+    After each generation the trace gains the row (g, that sum, the lowest
+    best, the first swarm's on a tie); the report's final best is a copy of
+    the last such best.
+    """
     trace: list[tuple[int, int, float]] = []
-    while state.fes_used < params.max_fes:
-        step(state, objective, params, sweep=sweep)
-        trace.append((state.t - 1, state.fes_used, state.best.fitness))
-    return RunReport(trace=trace, final_best=state.best.copy(), fes_total=state.fes_used, seed=seed)
+    fes = sum(s.fes_used for s in swarms)
+    while fes < params.max_fes:
+        generation(len(trace))
+        fes = sum(s.fes_used for s in swarms)
+        best = min((s.best for s in swarms if s.best is not None), key=lambda b: b.fitness)
+        trace.append((len(trace), fes, best.fitness))
+    return RunReport(trace=trace, final_best=best.copy(), fes_total=fes, seed=seed)

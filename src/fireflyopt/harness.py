@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .benchmarks import benchmark_names, lookup, make_moving_peaks
-from .core import FaParams, Objective, RunReport, pairwise_sweep, run
+from .core import FaParams, Objective, RunReport, _run, pairwise_sweep, run
 # levy_step is not called here: the levy variant draws its steps through
 # core's step table.  It stays a module global because perfbench/probe.py
 # wraps harness.levy_step.
@@ -37,8 +37,10 @@ from .variants import (
 
 # every benchmark name a config may give: the registry's, then the dynamic one
 BENCHMARKS = (*benchmark_names(), "moving_peaks")
-# key -> the least value a config may give it, whatever the variant
-_FLOORS = {"repetitions": 1, "base_seed": 0, "dim": 1, "elitist_trials": 0, "num_swarms": 1}
+# key -> the least value a config may give it, whatever the variant (an unset
+# swarm_size, None, has none)
+_FLOORS = {"repetitions": 1, "base_seed": 0, "dim": 1, "elitist_trials": 0, "num_swarms": 1, "swarm_size": 1,
+           "sentinel_count": 0, "peak_count": 1, "shift_interval": 1}
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class ExperimentConfig:
         if self.benchmark not in BENCHMARKS:
             raise ValueError(f"unknown benchmark {self.benchmark!r}; known: {', '.join(BENCHMARKS)}")
         for key, floor in _FLOORS.items():
-            if (value := getattr(self, key)) < floor:
+            if (value := getattr(self, key)) is not None and value < floor:
                 raise ValueError(f"malformed value for {key!r}: must be >= {floor}, got {value}")
 
         _, _, forced, steps = VARIANTS[self.variant]
@@ -215,7 +217,10 @@ def _coerce(key: str, value, want):
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"malformed value for {key!r}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:  # an integer beyond the largest float
+            raise ValueError(f"malformed value for {key!r}: {exc}") from None
     if not isinstance(value, str):
         raise ValueError(f"malformed value for {key!r}: expected a string, got {value!r}")
     return value
@@ -293,11 +298,12 @@ def run_multiswarm(
     Change detection uses fixed sentinel probes drawn from the stream
     SeedSequence(seed, spawn_key=(3,)).  That is also swarm 3's stream when
     there are 4 or more swarms, so the sentinels then sit on that swarm's
-    first positions.  The budget is enforced on the total across swarms, so
+    first positions.  core._run runs one multiswarm_step per generation and
+    checks the budget on the total across swarms between generations, so
     the final generation may overshoot by at most one generation's worth of
-    evaluations.  Returns the report plus the
-    interaction event log (exclusions, anti-convergence resets, detected
-    landscape changes), each tagged with its generation.
+    evaluations.  Returns the report plus the interaction event log
+    (exclusions, anti-convergence resets, detected landscape changes), each
+    tagged with its generation.
 
     A layout that initialize_multiswarm rejects (sentinel probes that use
     up the budget among them) raises ValueError before any evaluation.
@@ -305,23 +311,14 @@ def run_multiswarm(
     swarms = initialize_multiswarm(objective, params, config, seed)
     sentinels = make_sentinels(objective, config.sentinel_count, np.random.SeedSequence(seed, spawn_key=(3,)))
     events: list[dict] = []
-    trace: list[tuple[int, int, float]] = []
-    gen = 0
-    total = 0
-    global_best = None
-    while total < params.max_fes:
+
+    def generation(g: int) -> None:
+        # a fresh log per call, which perfbench/probe.py counts
         log: list[dict] = []
         multiswarm_step(swarms, config, objective, params, log=log, sentinels=sentinels)
-        for event in log:
-            event["generation"] = gen
-            events.append(event)
-        total = sum(s.fes_used for s in swarms)
-        bests = [s.best for s in swarms if s.best is not None]
-        global_best = min(bests, key=lambda b: b.fitness)
-        trace.append((gen, total, global_best.fitness))
-        gen += 1
-    report = RunReport(trace=trace, final_best=global_best.copy(), fes_total=total, seed=seed)
-    return report, events
+        events.extend(map(partial(dict, generation=g), log))
+
+    return _run(swarms, params, seed, generation), events
 
 
 # The runners look up the variant hooks as module globals at call time, so

@@ -21,6 +21,8 @@ from .core import (
     Objective,
     SwarmState,
     _evaluate_swarms,
+    _record,
+    _rows_left,
     checked_rows,
     initialize,
     pull_rows,
@@ -112,16 +114,18 @@ def elitist_best_move(
     alpha_t) times the domain width; a zero direction draw is dropped.  The
     trials go to one checked_rows call, and the first strict minimum below
     the brightest firefly's fitness wins.  If no trial improves, the
-    brightest firefly stays where it is.  Consumes up to m evaluations,
-    never exceeding the remaining budget.  An unevaluated population
-    raises ValueError.
+    brightest firefly stays where it is.  The m trials are cut to the
+    remaining budget (core._rows_left) and, once evaluated, charged and
+    recorded as swarm rows are (core._record), so an objective that raises
+    leaves fes_used and the best-so-far as they were.  An unevaluated
+    population raises ValueError.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if np.isnan(state.fitness).any():
         raise ValueError("population must be evaluated before an elitist move")
-    trials = min(m, params.max_fes - state.fes_used)
-    if trials <= 0:
+    trials = _rows_left(state, params, m)
+    if trials == 0:
         return state
     i = int(np.argmin(state.fitness))
     w = objective.width
@@ -131,14 +135,12 @@ def elitist_best_move(
         dirs, norms = dirs[norms != 0.0], norms[norms != 0.0]
     points = state.positions[i] + alpha * w * (dirs / norms[:, None])
     np.clip(points, objective.lower, objective.upper, out=points)
-    state.fes_used += len(points)
     values = checked_rows(objective, points)
+    _record(state, points, values)
     winner = min(values, default=math.inf)
     if winner < state.fitness[i]:
         state.positions[i] = points[values.index(winner)]
         state.fitness[i] = winner
-        if state.best is None or winner < state.best.fitness:
-            state.best = Firefly(state.positions[i].copy(), winner)
     return state
 
 

@@ -1485,6 +1485,30 @@ def test_run_single_pass_budget():
     assert report.fes_total == 25
 
 
+@pytest.mark.parametrize("max_fes, generations", [(14, 2), (15, 3), (20, 3), (21, 3)])
+def test_run_loop_stops_at_the_budget_and_keeps_the_first_of_tied_bests(max_fes, generations):
+    # core._run, the loop of core.run and harness.run_multiswarm: 4 + 3
+    # evaluations a generation, so the run ends with the first generation
+    # whose sum reaches max_fes; a swarm without a best is passed over, and
+    # on a tie the first swarm's best wins
+    swarms = [SwarmState(np.zeros((1, 2)), np.zeros(1), t=0, fes_used=0, best=None, rng=None) for _ in range(2)]
+    bests = [[(0.0, 1.0), None], [(1.0, 1.0), (2.0, 0.5)], [(3.0, 0.5), (4.0, 0.5)]]
+    calls = []
+
+    def generation(g):
+        calls.append(g)
+        for s, spent, best in zip(swarms, (4, 3), bests[g]):
+            s.fes_used += spent
+            s.best = None if best is None else Firefly(np.full(2, best[0]), best[1])
+
+    report = core._run(swarms, FaParams(pop_size=1, max_fes=max_fes), 9, generation)
+    assert calls == list(range(generations))
+    assert report.trace == [(0, 7, 1.0), (1, 14, 0.5), (2, 21, 0.5)][:generations]
+    assert report.fes_total == 7 * generations and report.seed == 9
+    assert report.final_best.position.tolist() == [float(generations)] * 2
+    assert report.final_best is not swarms[0].best
+
+
 def test_run_synchronous_scheme():
     obj = lookup("rastrigin", 2)
     params = FaParams(pop_size=8, max_fes=800, update_scheme="synchronous")

@@ -86,6 +86,9 @@ def test_parse_rejects_malformed_value():
         parse_config(MINIMAL + "update_scheme: 3\n")
     with pytest.raises(ValueError, match="^malformed value for 'repetitions': must be >= 1, got 0$"):
         parse_config(MINIMAL.replace("repetitions: 3", "repetitions: 0"))
+    # an integer beyond the largest float raised a bare OverflowError
+    with pytest.raises(ValueError, match="^malformed value for 'alpha': int too large to convert to float$"):
+        parse_config(MINIMAL + "alpha: 1" + "0" * 400 + "\n")
 
 
 @pytest.mark.parametrize("key, values", [("alpha", ("0.1", "0.3")), ("variant", ("base", "levy"))])
@@ -229,11 +232,14 @@ def test_parse_rejects_non_positive_num_swarms(num_swarms):
 @pytest.mark.parametrize(
     "key, value",
     [("elitist_trials", "-1"), ("levy_lambda", "5.0"), ("levy_lambda", "1.0"), ("levy_lambda", ".nan"),
-     ("success_threshold", ".nan"), ("success_threshold", ".inf"), ("num_swarms", "0")],
+     ("success_threshold", ".nan"), ("success_threshold", ".inf"), ("num_swarms", "0"), ("peak_count", "0"),
+     ("sentinel_count", "-1"), ("shift_interval", "0"), ("swarm_size", "-3")],
 )
 def test_parse_rejects_out_of_range_variant_keys(key, value):
-    # each was accepted, and elitist_trials -1 failed only at run time;
-    # FaParams checks levy_lambda, by its name, as it does alpha
+    # each was accepted, and elitist_trials -1 failed only at run time; the
+    # multiswarm and moving-peaks counts ran on base and sphere and were
+    # echoed into summary.json; FaParams checks levy_lambda, by its name, as
+    # it does alpha
     match = f"^{key} must lie in" if key == "levy_lambda" else f"malformed value for '{key}'"
     with pytest.raises(ValueError, match=match):
         parse_config(MINIMAL + f"{key}: {value}\n")

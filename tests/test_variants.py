@@ -747,6 +747,31 @@ def test_multiswarm_change_pass_is_not_cut_to_the_budget():
     assert report.final_best.fitness == report.trace[-1][2]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_multiswarm_tags_each_event_with_its_generation(seed):
+    # run_multiswarm against its loop written out: one multiswarm_step per
+    # generation until the summed budget is spent, each event tagged with
+    # the generation that logged it
+    params = FaParams(pop_size=12, max_fes=1200)
+    config = MultiSwarmConfig(3, 4, 0.2, 0.3, 2)
+    report, events = run_multiswarm(make_moving_peaks(peak_count=3, dim=2, shift_interval=100, seed=seed),
+                                    params, config, seed)
+    obj = make_moving_peaks(peak_count=3, dim=2, shift_interval=100, seed=seed)
+    swarms = initialize_multiswarm(obj, params, config, seed)
+    sentinels = make_sentinels(obj, 2, np.random.SeedSequence(seed, spawn_key=(3,)))
+    expected, trace = [], []
+    while sum(s.fes_used for s in swarms) < params.max_fes:
+        log = []
+        multiswarm_step(swarms, config, obj, params, sentinels, log=log)
+        expected += [{**event, "generation": len(trace)} for event in log]
+        best = min((s.best for s in swarms if s.best is not None), key=lambda b: b.fitness)
+        trace.append((len(trace), sum(s.fes_used for s in swarms), best.fitness))
+    assert events == expected
+    assert {event["event"] for event in events} == {"change", "exclusion", "anticonvergence"}
+    assert report.trace == trace
+    assert report.final_best.position.tobytes() == best.position.tobytes()
+
+
 @pytest.mark.parametrize("num_swarms", [1, 2, 3])
 @pytest.mark.parametrize("extra", [0, 1, 2])
 def test_run_multiswarm_rejects_sentinels_that_use_up_the_budget(num_swarms, extra):
@@ -975,8 +1000,13 @@ def test_non_finite_fitness_raises_evaluation_error(site, bad):
         def call():
             multiswarm_step(swarms, config, obj, params, sentinels=sentinels)
     fn.bad = bad
+    # a swarm's rows and its elitist trials are charged and recorded only
+    # once their values are in; the sentinel probes keep their own charge
+    charged = (state.fes_used, state.best) if site != "sentinel_probe" else None
     with pytest.raises(EvaluationError, match=f"returned {bad}"):
         call()
+    if charged is not None:
+        assert state.fes_used == charged[0] and state.best is charged[1]
 
 
 def test_sentinel_rebaseline_rejects_nan():
