@@ -16,6 +16,22 @@ from pathlib import Path
 # left alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+# C extensions that a run loads but never calls, each marked absent so that
+# its importer takes its pure-Python fallback (saving, in peak resident
+# memory of a run or compare, 2-vCPU VM).  This holds for the whole process
+# that imports this module, not only while a command runs: hashlib.scrypt
+# is gone, hashlib.new drops OpenSSL-only names such as sha512_256 and
+# ripemd160, and hashlib.pbkdf2_hmac becomes CPython's deprecated
+# pure-Python version, which warns.  A module loaded before this import
+# stays as it is.
+# _hashlib, OpenSSL's libcrypto (3.3-3.5 MiB), is loaded by numpy.random ->
+# secrets -> hmac -> hashlib; hashlib falls back to its builtin digests and
+# hmac to _operator._compare_digest, and seeded streams draw no hash.
+sys.modules.setdefault("_hashlib", None)
+# yaml._yaml, libyaml (up to 0.3 MiB): harness's loader subclasses the
+# pure-Python yaml.SafeLoader.
+sys.modules.setdefault("yaml._yaml", None)
+
 from .harness import BENCHMARKS, compare_variants, emit_results, parse_config, run_experiment
 
 

@@ -1,6 +1,6 @@
 """Experiment harness: config parsing, runs, emitted files, compare table, CLI."""
 
-import importlib
+import importlib.machinery
 import json
 import os
 import subprocess
@@ -697,9 +697,10 @@ def test_package_from_import_of_a_submodule():
 
 
 def test_cli_import_leaves_out_subprocess_and_hashlib():
-    # subprocess is for building the C sweep, once per machine; hashlib adds
-    # about 3.5 MiB of resident memory (a run loads it anyway, when
-    # numpy.random imports secrets, but the import alone must not)
+    # subprocess is for building the C sweep, once per machine; a run loads
+    # hashlib through numpy.random -> secrets -> hmac, with its builtin
+    # digests because the CLI keeps OpenSSL's _hashlib out, but the import
+    # alone must not load it
     code = (
         "import sys\nimport fireflyopt.cli\n"
         "print(sorted({'subprocess', 'hashlib'} & set(sys.modules)))\n"
@@ -715,6 +716,70 @@ def test_cli_import_leaves_out_subprocess_and_hashlib():
     # without a C sweep to load, a run's first sweep imports subprocess to try the build
     if cached:
         assert after_run == "False"
+
+
+def _cli_run_then(tmp_path, code: str) -> str:
+    """Output of code, run in a fresh interpreter after a small `fireflyopt run`."""
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(SMALL)
+    return _fresh_python(
+        "import sys\nfrom fireflyopt.cli import main\n"
+        f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "sys.stdout.flush()\nprint('---')\n" + code
+    ).split("---\n")[-1]
+
+
+def test_cli_run_keeps_hashlib_and_libyaml_extensions_out(tmp_path):
+    code = (
+        "import hashlib, hmac, secrets\nimport numpy as np\nimport yaml\n"
+        "print(sys.modules['_hashlib'], sys.modules['yaml._yaml'], yaml.__with_libyaml__)\n"
+        "print(hashlib.sha256(b'').hexdigest())\n"
+        "print(hmac.compare_digest(b'ab', b'ab'), hmac.compare_digest(b'ab', b'ac'))\n"
+        "print(len(secrets.token_hex(8)), 0.0 <= np.random.default_rng().random() < 1.0)\n"
+    )
+    assert _cli_run_then(tmp_path, code).splitlines() == [
+        "None None False",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "True False",
+        "16 True",
+    ]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+def test_cli_run_maps_neither_openssl_nor_libyaml(tmp_path):
+    code = (
+        "maps = open('/proc/self/maps').read()\n"
+        "print([n for n in ('libcrypto', 'libyaml', '/_hashlib.', '/_yaml.') if n in maps])\n"
+    )
+    assert _cli_run_then(tmp_path, code) == "[]"
+
+
+# looked up on the path, since the CLI imported here may have marked _hashlib absent in sys.modules
+needs_openssl = pytest.mark.skipif(
+    "_hashlib" not in sys.builtin_module_names and importlib.machinery.PathFinder.find_spec("_hashlib") is None,
+    reason="Python built without OpenSSL's _hashlib",
+)
+
+
+@needs_openssl
+def test_library_run_without_the_cli_leaves_hashlib_importable():
+    code = (
+        "import fireflyopt.harness\nfrom fireflyopt import FaParams, lookup, run\n"
+        "run(lookup('sphere', 3), FaParams(pop_size=5, max_fes=20), seed=1)\n"
+        "import _hashlib\nprint(_hashlib.__name__)\n"
+    )
+    assert _fresh_python(code) == "_hashlib"
+
+
+@needs_openssl
+def test_cli_import_keeps_extensions_loaded_before_it():
+    # yaml loads yaml._yaml when libyaml is installed, else leaves it out
+    code = (
+        "import sys\nimport _hashlib\nimport yaml\nlibyaml = sys.modules.get('yaml._yaml')\n"
+        "import fireflyopt.cli\n"
+        "print(sys.modules['_hashlib'] is _hashlib, sys.modules.get('yaml._yaml') is libyaml)\n"
+    )
+    assert _fresh_python(code) == "True True"
 
 
 @pytest.mark.parametrize("workers", [0, -3])
